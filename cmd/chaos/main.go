@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/prof"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -96,7 +97,16 @@ func main() {
 			})
 		}
 	}
-	results := chaos.Sweep(cfgs, *workers)
+	// A passing run is reported by its summary fields alone: drop its
+	// cluster and registry as soon as it finishes, so a sweep's memory
+	// stays flat in the number of runs.
+	results := sweep.Run(*workers, len(cfgs), func(i int) *chaos.Result {
+		r := chaos.Run(cfgs[i])
+		if !r.Failed() {
+			r.Cluster, r.Obs = nil, nil
+		}
+		return r
+	})
 
 	failures := 0
 	for _, r := range results {

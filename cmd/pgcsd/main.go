@@ -40,11 +40,10 @@ func main() {
 		tickMS      = flag.Int("tick", 2, "pacer granularity in milliseconds")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 
-		commitWindow  = flag.Duration("commit-window", 0, "WAL group-commit window (0 = coalesce behind in-flight writes only)")
-		noGroupCommit = flag.Bool("no-group-commit", false, "disable WAL group commit and delivery pipelining (legacy one-write-per-record path)")
-		deliverPipe   = flag.Int("deliver-pipeline", 0, "delivery records kept in flight ahead of the release point (0 = default: 64 with group commit, 1 without)")
-		batchMsgs     = flag.Int("batch-msgs", 0, "max messages per transport batch frame (0 = default 64, 1 disables batching)")
-		batchBytes    = flag.Int("batch-bytes", 0, "max payload bytes per transport batch frame (0 = default 256KiB)")
+		commitWindow = flag.Duration("commit-window", 0, "WAL group-commit window (0 = coalesce behind in-flight writes only)")
+		deliverPipe  = flag.Int("deliver-pipeline", 0, "delivery records kept in flight ahead of the release point (0 = default 64)")
+		batchMsgs    = flag.Int("batch-msgs", 0, "max messages per transport batch frame (0 = default 64, 1 disables batching)")
+		batchBytes   = flag.Int("batch-bytes", 0, "max payload bytes per transport batch frame (0 = default 256KiB)")
 	)
 	flag.Parse()
 	if *configPath == "" || *id < 0 || *walPath == "" || *tracePath == "" {
@@ -69,7 +68,6 @@ func main() {
 		CheckpointBytes: *ckptBytes,
 		MaxPending:      *maxPending,
 		CommitWindow:    *commitWindow,
-		GroupCommitOff:  *noGroupCommit,
 		DeliverPipeline: *deliverPipe,
 		BatchMsgs:       *batchMsgs,
 		BatchBytes:      *batchBytes,

@@ -172,17 +172,17 @@ func benchE14(seed int64) func() BenchEntry {
 }
 
 // benchE16: the E16 hot path — a single-origin burst through the batched
-// stack (group commit, pipelined delivery, eager token rounds) at λ = 5δ.
-// Tracks the throughput the batching work bought, so a regression in any
-// batching layer moves this entry's deliveries_per_sec.
+// stack (group commit, pipelined delivery at the default depth, eager
+// token rounds) at λ = 5δ. Tracks the throughput the batching work
+// bought, so a regression in any batching layer moves this entry's
+// deliveries_per_sec.
 func benchE16(seed int64) func() BenchEntry {
 	return func() BenchEntry {
 		reg := obs.New()
 		const n = 3
 		delta := time.Millisecond
 		c := stack.NewCluster(stack.Options{Seed: seed, N: n, Delta: delta,
-			StorageLatency: 5 * delta, Obs: reg,
-			GroupCommit: true, DeliverPipeline: 64, EagerTokenRounds: true})
+			StorageLatency: 5 * delta, Obs: reg})
 		c.Sim.After(30*time.Millisecond, func() {
 			for i := 0; i < 400; i++ {
 				c.Bcast(0, types.Value(fmt.Sprintf("v%d", i)))

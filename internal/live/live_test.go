@@ -322,3 +322,19 @@ func TestLoadgenAgainstInProcessCluster(t *testing.T) {
 		t.Errorf("latency samples %d, want %d", entry.DeliveryLatency.Count, entry.Bcasts)
 	}
 }
+
+// TestStartEngineRejectsNegativeCommitWindow: a negative group-commit
+// window is a configuration error, reported before anything is opened.
+func TestStartEngineRejectsNegativeCommitWindow(t *testing.T) {
+	dir := t.TempDir()
+	_, err := StartEngine(EngineOptions{
+		Config:       testConfig(t, 1),
+		Self:         0,
+		WALPath:      filepath.Join(dir, "wal"),
+		TracePath:    filepath.Join(dir, "trace.r0.jsonl"),
+		CommitWindow: -time.Millisecond,
+	})
+	if err == nil || !strings.Contains(err.Error(), "negative commit window") {
+		t.Fatalf("StartEngine with a negative commit window: err = %v", err)
+	}
+}

@@ -46,17 +46,13 @@ type EngineOptions struct {
 	// daemon degrades by pushing back rather than buffering without
 	// limit. 0 disables.
 	MaxPending int
-	// CommitWindow arms WAL group commit with the given commit window
-	// (negative disables group commit entirely; 0 is pure pipelined
-	// coalescing — see stack.Options.GroupCommit/CommitWindow). The
-	// daemon's flag default is 0: group commit on, no added latency.
+	// CommitWindow is the WAL group-commit window
+	// (stack.Options.CommitWindow): 0, the daemon's flag default, is pure
+	// pipelined coalescing with no added latency. Negative is an error.
 	CommitWindow time.Duration
-	// GroupCommitOff disables WAL group commit (and the delivery
-	// pipelining default) regardless of CommitWindow.
-	GroupCommitOff bool
 	// DeliverPipeline bounds delivery records in flight ahead of the
-	// release point (stack.Options.DeliverPipeline); 0 picks the engine
-	// default: 64 with group commit on, 1 (legacy lock-step) off.
+	// release point (stack.Options.DeliverPipeline); 0 picks the default
+	// depth, 64.
 	DeliverPipeline int
 	// BatchMsgs/BatchBytes tune transport frame batching
 	// (transport.TCPConfig.MaxBatchMsgs/MaxBatchBytes); 0 keeps the
@@ -160,6 +156,9 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
+	if opts.CommitWindow < 0 {
+		return nil, fmt.Errorf("live: negative commit window %v", opts.CommitWindow)
+	}
 	nc, ok := opts.Config.Node(opts.Self)
 	if !ok {
 		return nil, fmt.Errorf("live: node %v not in config", opts.Self)
@@ -226,14 +225,6 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		InitialSink: func(p types.ProcID, v types.View) { props.AppendInitialJSONL(e.traceW, p, v) },
 	}
 
-	groupCommit := !opts.GroupCommitOff && opts.CommitWindow >= 0
-	pipeline := opts.DeliverPipeline
-	if pipeline <= 0 {
-		pipeline = 1
-		if groupCommit {
-			pipeline = 64
-		}
-	}
 	e.mu.Lock()
 	e.node = stack.NewLiveNode(stack.LiveOptions{
 		Self:             opts.Self,
@@ -246,10 +237,8 @@ func StartEngine(opts EngineOptions) (*Engine, error) {
 		WALMirror:        e.walFile,
 		CheckpointBytes:  opts.CheckpointBytes,
 		MaxPendingBcasts: opts.MaxPending,
-		GroupCommit:      groupCommit,
 		CommitWindow:     opts.CommitWindow,
-		DeliverPipeline:  pipeline,
-		EagerTokenRounds: groupCommit,
+		DeliverPipeline:  opts.DeliverPipeline,
 		Log:              lg,
 		Obs:              e.reg,
 		OnDeliver:        e.onDeliver,
@@ -300,6 +289,15 @@ func (e *Engine) pace() {
 			return
 		case <-ticker.C:
 			e.mu.Lock()
+			// Close may have run while this tick waited for the lock: the
+			// WAL file is closed then, and a simulator step that makes a
+			// record durable would write to it.
+			select {
+			case <-e.stop:
+				e.mu.Unlock()
+				return
+			default:
+			}
 			target := sim.Time(time.Since(e.origin))
 			if d := time.Duration(target - e.sim.Now()); d > 0 {
 				if err := e.sim.RunFor(d); err != nil {

@@ -14,7 +14,8 @@ import (
 )
 
 // walImage builds a small valid WAL image (via a real WAL on a
-// zero-latency simulated device) and the offset of its last record.
+// zero-latency simulated device) and the offset of its last frame, which
+// holds only the final record.
 func walImage(t *testing.T) (img []byte, lastRec int) {
 	t.Helper()
 	s := sim.New(1)
@@ -25,6 +26,11 @@ func walImage(t *testing.T) (img []byte, lastRec int) {
 	w.Establish([]types.Label{la}, 1, view.ID, nil)
 	w.Bcast(1, "a", nil)
 	w.Label(1, la, "a", nil)
+	// Let the batches so far land, so the final record opens a frame of
+	// its own.
+	if err := s.Run(s.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	lastRec = w.EndOffset()
 	w.Deliver(1, la, 1, 1, "a", nil)
 	if err := s.Run(s.Now().Add(time.Second)); err != nil {

@@ -43,7 +43,10 @@ type Config struct {
 	// Jitter, when true, draws each good-channel delay uniformly from
 	// (0, δ]; when false every good-channel delivery takes exactly δ (the
 	// worst case, which makes measured times directly comparable to the
-	// analytic bounds).
+	// analytic bounds). Packets sent at the same instant on the same good
+	// channel share one jitter draw, mirroring the real transport's frame
+	// batching: frames queued together leave in one syscall and arrive
+	// together. Send order is preserved within such a group.
 	Jitter bool
 	// UglyLossProb is the probability an ugly channel drops a packet.
 	UglyLossProb float64
@@ -63,13 +66,6 @@ type Config struct {
 	// the net.bytes counter (the stack wires the wire-codec's encoded size
 	// in wire mode). Left nil, byte accounting is skipped.
 	PayloadBytes func(any) int
-	// Coalesce makes packets sent at the same instant on the same good
-	// channel share one jitter draw, mirroring the real transport's frame
-	// batching: frames queued together leave in one syscall and arrive
-	// together, rather than each drawing an independent delay. Send order
-	// is preserved within the coalesced group. Without Jitter the option
-	// changes nothing (every good-channel delay is exactly δ already).
-	Coalesce bool
 }
 
 // DefaultConfig returns δ = 1ms worst-case delivery with moderately lossy
@@ -143,7 +139,7 @@ type Network struct {
 	ctr      counters
 	m        metrics
 	// coalesced caches the last jitter draw per directed channel so that
-	// same-instant sends share it (Config.Coalesce). Touched only from the
+	// same-instant sends share it (see Config.Jitter). Touched only from the
 	// simulator goroutine, like handlers.
 	coalesced map[chanKey]coalesceEntry
 }
@@ -230,19 +226,17 @@ func (n *Network) Send(from, to types.ProcID, payload any) {
 		d := n.cfg.Delta
 		if n.cfg.Jitter {
 			d = time.Duration(1 + n.sim.Rand().Int63n(int64(n.cfg.Delta)))
-			if n.cfg.Coalesce {
-				if n.coalesced == nil {
-					n.coalesced = make(map[chanKey]coalesceEntry)
-				}
-				key := chanKey{from, to}
-				if e, ok := n.coalesced[key]; ok && e.at == n.sim.Now() {
-					// Same instant, same channel: ride the batch already
-					// in flight (sim.After is FIFO at equal times, so
-					// send order within the group is preserved).
-					d = e.delay
-				} else {
-					n.coalesced[key] = coalesceEntry{at: n.sim.Now(), delay: d}
-				}
+			if n.coalesced == nil {
+				n.coalesced = make(map[chanKey]coalesceEntry)
+			}
+			key := chanKey{from, to}
+			if e, ok := n.coalesced[key]; ok && e.at == n.sim.Now() {
+				// Same instant, same channel: ride the batch already in
+				// flight (sim.After is FIFO at equal times, so send order
+				// within the group is preserved).
+				d = e.delay
+			} else {
+				n.coalesced[key] = coalesceEntry{at: n.sim.Now(), delay: d}
 			}
 		}
 		n.m.delay.Record(d)

@@ -11,10 +11,11 @@ import (
 	"repro/internal/types"
 )
 
-// gcDisk writes the same record set as sampleDisk through a group-commit
-// WAL on a device with real write latency, so records coalesce into batch
-// frames. The durable image is physically different from sampleDisk's but
-// must replay to the same logical snapshot.
+// gcDisk writes the same record set as sampleDisk through a WAL on a
+// device with real write latency (and, optionally, a commit window), so
+// records coalesce into larger batch frames. The durable image is
+// physically different from sampleDisk's but must replay to the same
+// logical snapshot.
 func gcDisk(tb testing.TB, window time.Duration) ([]byte, *obs.Snapshot) {
 	tb.Helper()
 	s := sim.New(1)
@@ -22,7 +23,7 @@ func gcDisk(tb testing.TB, window time.Duration) ([]byte, *obs.Snapshot) {
 	w := New(st)
 	reg := obs.New()
 	w.Instrument(reg)
-	w.SetGroupCommit(window)
+	w.SetCommitWindow(window)
 	w.View(testView, nil)
 	w.Establish([]types.Label{labelA}, 1, testView.ID, nil)
 	w.Bcast(1, "a", nil)
@@ -38,11 +39,11 @@ func gcDisk(tb testing.TB, window time.Duration) ([]byte, *obs.Snapshot) {
 	return st.Contents(), reg.Snapshot()
 }
 
-// TestGroupCommitReplayEquivalence: a batched log is a different physical
-// layout for the same history — replay must produce the identical logical
-// snapshot the one-frame-per-record log produces.
+// TestGroupCommitReplayEquivalence: a log batched behind a slow device is
+// a different physical layout for the same history — replay must produce
+// the identical logical snapshot the zero-latency log produces.
 func TestGroupCommitReplayEquivalence(t *testing.T) {
-	legacy := Replay(sampleDisk(t))
+	ref := Replay(sampleDisk(t))
 	for _, window := range []time.Duration{0, time.Millisecond} {
 		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
 			disk, snap := gcDisk(t, window)
@@ -50,18 +51,18 @@ func TestGroupCommitReplayEquivalence(t *testing.T) {
 			if got.Truncated != "" {
 				t.Fatalf("clean batched log truncated: %s", got.Truncated)
 			}
-			if got.Records != legacy.Records {
-				t.Errorf("Records = %d, want %d", got.Records, legacy.Records)
+			if got.Records != ref.Records {
+				t.Errorf("Records = %d, want %d", got.Records, ref.Records)
 			}
-			if len(got.Order) != len(legacy.Order) || got.Order[0] != labelA || got.Order[1] != labelB {
-				t.Errorf("Order = %v, want %v", got.Order, legacy.Order)
+			if len(got.Order) != len(ref.Order) || got.Order[0] != labelA || got.Order[1] != labelB {
+				t.Errorf("Order = %v, want %v", got.Order, ref.Order)
 			}
-			if len(got.Delivered) != 1 || got.Delivered[0] != legacy.Delivered[0] {
-				t.Errorf("Delivered = %v, want %v", got.Delivered, legacy.Delivered)
+			if len(got.Delivered) != 1 || got.Delivered[0] != ref.Delivered[0] {
+				t.Errorf("Delivered = %v, want %v", got.Delivered, ref.Delivered)
 			}
-			if got.NextConfirm != legacy.NextConfirm || got.BcastSeq != legacy.BcastSeq ||
-				got.Incarnations != legacy.Incarnations {
-				t.Errorf("scalars diverge: got %+v want %+v", got, legacy)
+			if got.NextConfirm != ref.NextConfirm || got.BcastSeq != ref.BcastSeq ||
+				got.Incarnations != ref.Incarnations {
+				t.Errorf("scalars diverge: got %+v want %+v", got, ref)
 			}
 			// Coalescing must actually have happened: 9 records in fewer
 			// covering writes.
@@ -81,7 +82,6 @@ func TestGroupCommitDurabilityOrdering(t *testing.T) {
 	s := sim.New(1)
 	st := storage.New(s, 3*time.Millisecond)
 	w := New(st)
-	w.SetGroupCommit(0)
 	w.View(testView, nil)
 
 	const n = 8
@@ -119,7 +119,6 @@ func TestGroupCommitCascadeCoalesces(t *testing.T) {
 	w := New(st)
 	reg := obs.New()
 	w.Instrument(reg)
-	w.SetGroupCommit(0)
 
 	w.Bcast(1, "first", func() {
 		// Cascade: these all arrive while the first batch's flight is
@@ -148,7 +147,6 @@ func TestGroupCommitTornBatchThroughDevice(t *testing.T) {
 	s := sim.New(1)
 	st := storage.New(s, 5*time.Millisecond)
 	w := New(st)
-	w.SetGroupCommit(0)
 	w.View(testView, nil)
 	s.RunFor(20 * time.Millisecond) // view batch durable
 
@@ -185,7 +183,7 @@ func TestGroupCommitWindowCoalesces(t *testing.T) {
 	w := New(st)
 	reg := obs.New()
 	w.Instrument(reg)
-	w.SetGroupCommit(2 * time.Millisecond)
+	w.SetCommitWindow(2 * time.Millisecond)
 
 	for i := 0; i < 6; i++ {
 		i := i
@@ -214,7 +212,6 @@ func TestGroupCommitCheckpointCompaction(t *testing.T) {
 	s := sim.New(1)
 	st := storage.New(s, time.Millisecond)
 	w := New(st)
-	w.SetGroupCommit(0)
 	w.View(testView, nil)
 	w.Bcast(1, "a", nil)
 	s.RunFor(20 * time.Millisecond)

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -83,6 +84,16 @@ func TestReplayRoundTrip(t *testing.T) {
 	if s.TruncatedAt != len(disk) {
 		t.Errorf("TruncatedAt = %d, want %d", s.TruncatedAt, len(disk))
 	}
+}
+
+// frame wraps a record payload as a standalone (unbatched) frame,
+// [len | crc32(payload) | payload], appending into buf. The WAL writes
+// only batch frames, but Replay still reads standalone ones: older logs
+// hold them.
+func frame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 // rec builds one framed record from a payload-writer.

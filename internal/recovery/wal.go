@@ -86,14 +86,14 @@ const frameHeader = 8
 type WAL struct {
 	st *storage.Stable
 
-	// enc is the reusable record-payload scratch: frame copies the payload
-	// into the outgoing frame buffer synchronously, so the scratch is free
-	// again by the time an appender returns.
+	// enc is the reusable record-payload scratch: append copies the payload
+	// into the open batch synchronously, so the scratch is free again by
+	// the time an appender returns.
 	enc codec.Writer
-	// frames recycles completed frame buffers. A frame buffer is owned by
-	// the storage layer until the record is durable (the device copies it
+	// frames recycles completed batch buffers. A batch buffer is owned by
+	// the storage layer until the batch is durable (the device copies it
 	// into the disk image at completion), so recycling happens in the
-	// completion wrapper; buffers lost to a crash (Drop suppresses
+	// completion callback; buffers lost to a crash (Drop suppresses
 	// completions) are simply abandoned to the GC.
 	frames [][]byte
 
@@ -110,16 +110,15 @@ type WAL struct {
 	lastCkpt int
 	prevCkpt int
 
-	// Group-commit state (SetGroupCommit). Records appended while a batch
-	// write is outstanding coalesce into the open batch; the batch is
-	// sealed into one storage write (one λ covering every record in it)
-	// when the head frees up, or when the commit window expires on an idle
-	// device. batch is the open batch buffer (outer frame header reserved,
-	// recBatch tag, then sub-records); batchDones fire in append order from
-	// the covering write's completion; flights counts batch writes handed
-	// to the device whose completions are still pending; armed marks a
-	// pending window timer.
-	gcOn       bool
+	// Group-commit state. Records appended while a batch write is
+	// outstanding coalesce into the open batch; the batch is sealed into
+	// one storage write (one λ covering every record in it) when the head
+	// frees up, or when the commit window (SetCommitWindow) expires on an
+	// idle device. batch is the open batch buffer (outer frame header
+	// reserved, recBatch tag, then sub-records); batchDones fire in append
+	// order from the covering write's completion; flights counts batch
+	// writes handed to the device whose completions are still pending;
+	// armed marks a pending window timer.
 	gcWindow   time.Duration
 	batch      []byte
 	batchDones []func()
@@ -144,23 +143,23 @@ func New(st *storage.Stable) *WAL { return &WAL{st: st, lastCkpt: -1, prevCkpt: 
 // back to the previous one plus every record after it.
 func (w *WAL) SetCompact(on bool) { w.compact = on }
 
-// SetGroupCommit turns on group commit: records appended while a batch
-// write is outstanding coalesce into one covering storage write instead of
-// queueing as individual writes behind the device's single head. window,
-// when positive, additionally delays the first write of a batch on an idle
-// device by that long, trading latency for larger batches; window 0 is
-// pure pipelined coalescing — the first record writes immediately and
-// batches form only behind the in-flight write, so an idle, lightly loaded
-// log pays no extra latency at all.
+// SetCommitWindow sets the group-commit window. Every WAL group-commits:
+// records appended while a batch write is outstanding coalesce into one
+// covering storage write instead of queueing as individual writes behind
+// the device's single head. A positive window additionally delays the
+// first write of a batch on an idle device by that long, trading latency
+// for larger batches; the default window 0 is pure pipelined coalescing —
+// the first record writes immediately and batches form only behind the
+// in-flight write, so an idle, lightly loaded log pays no extra latency at
+// all. A negative window counts as 0.
 //
-// Completion callbacks still fire only once the covering write is durable,
-// in append order, so every write-ahead gate in the stack (view installs,
+// Completion callbacks fire only once the covering write is durable, in
+// append order, so every write-ahead gate in the stack (view installs,
 // delivery release, recovery markers) keeps its meaning. On disk a batch
 // is a single recBatch frame whose CRC covers all its records: a torn
 // batch is discarded whole by Replay, which is what preserves the
 // "acknowledged ⇔ durable" equivalence batch-wide.
-func (w *WAL) SetGroupCommit(window time.Duration) {
-	w.gcOn = true
+func (w *WAL) SetCommitWindow(window time.Duration) {
 	if window < 0 {
 		window = 0
 	}
@@ -216,53 +215,20 @@ func (w *WAL) Instrument(reg *obs.Registry) {
 }
 
 // record resets and returns the reusable payload scratch. Every appender
-// builds its payload here; append then copies it into a frame buffer
+// builds its payload here; append then copies it into the open batch
 // before returning, so one scratch per WAL suffices.
 func (w *WAL) record() *codec.Writer {
 	w.enc.Reset()
 	return &w.enc
 }
 
-// frame wraps a record payload as [len | crc32(payload) | payload],
-// appending into buf.
-func frame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
+// append adds the record to the open group-commit batch, opening one if
+// needed, and decides when the batch gets written: immediately if the
+// device head is idle and no commit window is pending, at window expiry
+// if one is armed, or when the outstanding batch write completes (flush
+// from the completion callback) otherwise — the classic group-commit
+// discipline.
 func (w *WAL) append(payload []byte, done func()) {
-	if w.gcOn {
-		w.appendBatched(payload, done)
-		return
-	}
-	var buf []byte
-	if k := len(w.frames); k > 0 {
-		buf = w.frames[k-1][:0]
-		w.frames[k-1] = nil
-		w.frames = w.frames[:k-1]
-	}
-	framed := frame(buf, payload)
-	w.endOff += len(framed)
-	w.mRecords.Inc()
-	w.mBytes.Add(int64(len(framed)))
-	w.st.Append(framed, func() {
-		// Durable: the device has copied the bytes into its disk image,
-		// so the frame buffer is free to be reused by a later record.
-		w.frames = append(w.frames, framed)
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// appendBatched adds the record to the open group-commit batch, opening
-// one if needed, and decides when the batch gets written: immediately if
-// the device head is idle and no commit window is pending, at window
-// expiry if one is armed, or when the outstanding batch write completes
-// (flush from the completion callback) otherwise — the classic
-// group-commit discipline.
-func (w *WAL) appendBatched(payload []byte, done func()) {
 	if len(w.batch) == 0 {
 		var buf []byte
 		if k := len(w.frames); k > 0 {

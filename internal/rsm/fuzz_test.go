@@ -7,7 +7,9 @@ import (
 )
 
 // FuzzDecodeOp feeds arbitrary strings to the op decoder; malformed input
-// must error, and well-formed input must round-trip.
+// must error, and well-formed input must round-trip. The string-shaped
+// seeds are the retired "kind|nonce|klen:keyval" format, which must now
+// error like any other untagged input.
 func FuzzDecodeOp(f *testing.F) {
 	f.Add(string(Op{Kind: "w", Key: "k", Val: "v", Nonce: 1}.Encode()))
 	f.Add("w|1|2:ab")
@@ -27,6 +29,9 @@ func FuzzDecodeOp(f *testing.F) {
 		op, err := DecodeOp(types.Value(s))
 		if err != nil {
 			return
+		}
+		if s[0] != opWireTag {
+			t.Fatalf("untagged input %q decoded to %+v", s, op)
 		}
 		// A successfully decoded op re-encodes to something that decodes
 		// back to itself (the encoding is canonical for decoded values).

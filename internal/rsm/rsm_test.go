@@ -34,8 +34,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeOpMalformed: input without the wire tag is not an op — that
+// includes the retired "kind|nonce|klen:keyval" string shape, well-formed
+// or not.
 func TestDecodeOpMalformed(t *testing.T) {
-	for _, raw := range []string{"", "w", "w|1", "w|x|1:k", "w|1|zz:k", "w|1|99:k"} {
+	for _, raw := range []string{"", "w", "w|1", "w|x|1:k", "w|1|zz:k", "w|1|99:k", "w|1|2:ab", "r|0|0:"} {
 		if _, err := DecodeOp(types.Value(raw)); err == nil {
 			t.Errorf("DecodeOp(%q) succeeded; want error", raw)
 		}

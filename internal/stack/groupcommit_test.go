@@ -10,21 +10,20 @@ import (
 	"repro/internal/types"
 )
 
-// batchedOpts is the full batched hot path: WAL group commit, pipelined
-// delivery records, eager token rounds.
+// batchedOpts is the shipped hot path (WAL group commit, delivery
+// records pipelined at the default depth, eager token rounds) on a
+// device with write latency lambda.
 func batchedOpts(seed int64, n int, lambda time.Duration) Options {
-	return Options{
-		Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda,
-		GroupCommit: true, DeliverPipeline: 64, EagerTokenRounds: true,
-	}
+	return Options{Seed: seed, N: n, Delta: time.Millisecond, StorageLatency: lambda}
 }
 
-// TestGroupCommitMatchesLegacyOrder: the batched stack must deliver the
-// byte-identical (From, Value) sequence the legacy lock-step stack
-// delivers. A single-origin workload pins the total order to the
-// submission order (TO is FIFO per origin), so the two runs are
-// comparable value-for-value — batching may only change the timing.
-func TestGroupCommitMatchesLegacyOrder(t *testing.T) {
+// TestDeliverPipelineMatchesLockStepOrder: the pipelined stack (default
+// depth 64) must deliver the byte-identical (From, Value) sequence the
+// lock-step depth-1 stack delivers, and finish sooner. A single-origin
+// workload pins the total order to the submission order (TO is FIFO per
+// origin), so the two runs are comparable value-for-value — pipelining
+// may only change the timing.
+func TestDeliverPipelineMatchesLockStepOrder(t *testing.T) {
 	const want = 15
 	run := func(opts Options) ([]Delivery, sim.Time) {
 		c := NewCluster(opts)
@@ -46,18 +45,20 @@ func TestGroupCommitMatchesLegacyOrder(t *testing.T) {
 	}
 
 	const lambda = 2 * time.Millisecond
-	legacy, slow := run(Options{Seed: 7, N: 3, Delta: time.Millisecond, StorageLatency: lambda})
-	batched, fast := run(batchedOpts(7, 3, lambda))
-	if len(batched) != len(legacy) {
-		t.Fatalf("batched delivered %d, legacy %d", len(batched), len(legacy))
+	lockStep := batchedOpts(7, 3, lambda)
+	lockStep.DeliverPipeline = 1
+	ref, slow := run(lockStep)
+	piped, fast := run(batchedOpts(7, 3, lambda))
+	if len(piped) != len(ref) {
+		t.Fatalf("pipelined delivered %d, lock-step %d", len(piped), len(ref))
 	}
-	for i := range legacy {
-		if batched[i].Value != legacy[i].Value || batched[i].From != legacy[i].From {
-			t.Fatalf("order diverges at %d: batched %v vs legacy %v", i, batched[i], legacy[i])
+	for i := range ref {
+		if piped[i].Value != ref[i].Value || piped[i].From != ref[i].From {
+			t.Fatalf("order diverges at %d: pipelined %v vs lock-step %v", i, piped[i], ref[i])
 		}
 	}
 	if fast >= slow {
-		t.Errorf("batched run was not faster: %v vs %v", fast, slow)
+		t.Errorf("pipelined run was not faster: %v vs %v", fast, slow)
 	}
 }
 

@@ -59,14 +59,11 @@ type LiveOptions struct {
 	// submission backlog, exactly as Options.MaxPendingBcasts does in
 	// simulation: TryBcast rejects past the bound. 0 disables.
 	MaxPendingBcasts int
-	// GroupCommit, CommitWindow, DeliverPipeline and EagerTokenRounds
-	// mirror the Options fields of the same names: WAL group commit,
-	// delivery-record pipelining, and eager token rounds on the live
-	// daemon's endpoint.
-	GroupCommit      bool
-	CommitWindow     time.Duration
-	DeliverPipeline  int
-	EagerTokenRounds bool
+	// CommitWindow and DeliverPipeline mirror the Options fields of the
+	// same names: the WAL group-commit window and the delivery-record
+	// pipeline depth on the live daemon's endpoint.
+	CommitWindow    time.Duration
+	DeliverPipeline int
 	// Quorums defaults to majorities of Universe.
 	Quorums types.QuorumSystem
 	// Log, when non-nil, replaces the node's fresh trace log — set its
@@ -94,7 +91,6 @@ func NewLiveNode(opts LiveOptions) *Node {
 		qs = types.Majorities{Universe: opts.Universe}
 	}
 	cfg := vsimpl.DefaultConfig(opts.Delta, opts.Universe.Size())
-	cfg.EagerRelaunch = opts.EagerTokenRounds
 	cfg.Obs = opts.Obs
 	lg := opts.Log
 	if lg == nil {
@@ -104,11 +100,11 @@ func NewLiveNode(opts LiveOptions) *Node {
 		Sim: s,
 		// All-good oracle: in live mode faults are physical (killed
 		// processes, closed sockets), not injected into the stack.
-		Oracle:     failures.NewOracle(s.Now),
-		Log:        lg,
-		Procs:      opts.Universe,
-		Cfg:        cfg,
-		Obs:        opts.Obs,
+		Oracle:      failures.NewOracle(s.Now),
+		Log:         lg,
+		Procs:       opts.Universe,
+		Cfg:         cfg,
+		Obs:         opts.Obs,
 		tr:          opts.Transport,
 		qs:          qs,
 		maxPending:  opts.MaxPendingBcasts,
@@ -122,9 +118,7 @@ func NewLiveNode(opts LiveOptions) *Node {
 	// bytes live at logical offsets after the prior incarnations' records.
 	dev.SetBase(len(opts.WALData))
 	n := newNode(c, opts.Self, opts.P0, dev)
-	if opts.GroupCommit {
-		n.wal.SetGroupCommit(opts.CommitWindow)
-	}
+	n.wal.SetCommitWindow(opts.CommitWindow)
 	n.setCheckpointPolicy(opts.CheckpointBytes)
 	if opts.OnDeliver != nil {
 		n.onRcv = append(n.onRcv, opts.OnDeliver)

@@ -48,12 +48,12 @@ type Delivery struct {
 
 // Node is one processor's TO endpoint.
 type Node struct {
-	id    types.ProcID
-	sim   *sim.Sim
-	orc   *failures.Oracle
-	c     *Cluster
-	proc  *vstoto.Proc
-	vs    *vsimpl.Node
+	id      types.ProcID
+	sim     *sim.Sim
+	orc     *failures.Oracle
+	c       *Cluster
+	proc    *vstoto.Proc
+	vs      *vsimpl.Node
 	log     *props.Log
 	onRcv   []func(Delivery)
 	onBatch []func([]Delivery)
@@ -76,6 +76,10 @@ type Node struct {
 	// Crash-recovery state.
 	wal       *recovery.WAL
 	delaySeqs []int // submission seqs of proc.Delay entries, in lockstep
+	// restoredPending counts the entries at the head of proc.Delay that a
+	// recovery restored from durable-but-unlabeled submissions and that
+	// this incarnation has not labeled yet (see dropLabeledRestored).
+	restoredPending int
 	// incarnation guards storage completion callbacks: a callback captured
 	// under an older incarnation must not act on the rebuilt state.
 	incarnation int
@@ -88,8 +92,8 @@ type Node struct {
 	deliverInFlight int
 	deliverReady    int
 	needsRecovery   bool
-	recoveries    int
-	lastReplay    *recovery.Snapshot
+	recoveries      int
+	lastReplay      *recovery.Snapshot
 
 	// Checkpoint policy (Options.CheckpointBytes; 0 disables). waPending
 	// counts write-ahead records enqueued but not yet durable — between
@@ -140,7 +144,7 @@ type Cluster struct {
 	// durable-awaiting-release (Options.DeliverPipeline; always ≥ 1).
 	deliverPipe int
 	nodes       map[types.ProcID]*Node
-	m          clusterMetrics
+	m           clusterMetrics
 	// submitted maps each client submission to its bcast instant, for the
 	// end-to-end to.deliver_latency histogram (nil when obs is disabled).
 	submitted map[submitKey]sim.Time
@@ -223,25 +227,22 @@ type Options struct {
 	// cannot drain, and without a bound a stalled node buffers client
 	// values without limit. 0 (the default) leaves submission unbounded.
 	MaxPendingBcasts int
-	// GroupCommit turns on WAL group commit (recovery.WAL.SetGroupCommit):
-	// records appended while a batch write is outstanding coalesce into one
-	// covering storage write instead of serializing one λ each. The
-	// simulated network mirrors the batching semantics (net.Config.Coalesce)
-	// so sim and live stay behaviorally aligned.
+	// Deprecated: ignored; the batched path is the only path.
 	GroupCommit bool
-	// CommitWindow, with GroupCommit, additionally delays the first write
-	// of a batch on an idle device to let a larger batch form — latency
-	// traded for throughput. 0 is pure pipelined coalescing.
+	// CommitWindow delays the first write of a WAL group-commit batch on
+	// an idle device to let a larger batch form — latency traded for
+	// throughput (recovery.WAL.SetCommitWindow). 0, the default, is pure
+	// pipelined coalescing: records coalesce only behind an in-flight
+	// write.
 	CommitWindow time.Duration
 	// DeliverPipeline bounds how many delivery records a node keeps in
-	// flight ahead of the release point. The default 0 means 1: the legacy
-	// lock-step path (write one record, wait for durability, release,
-	// repeat). Depths > 1 overlap the storage latency of consecutive
-	// deliveries; release order and write-ahead gating are unchanged.
+	// flight ahead of the release point, overlapping the storage latency
+	// of consecutive deliveries; release order and write-ahead gating do
+	// not depend on it. 0 means the default depth, 64. Depth 1 is the
+	// lock-step reference (write one record, wait for durability,
+	// release, repeat) that experiment E16 ablates against.
 	DeliverPipeline int
-	// EagerTokenRounds relaunches the VS token immediately when work is
-	// queued instead of pacing rounds at π (vsimpl.Config.EagerRelaunch),
-	// so a burst of TOBcasts is carried by back-to-back rounds.
+	// Deprecated: ignored; the batched path is the only path.
 	EagerTokenRounds bool
 	// SkipRecoveryReplay is a test-only hook: a processor recovering from
 	// an amnesia crash is rebuilt from an empty snapshot instead of a
@@ -269,7 +270,7 @@ func NewCluster(opts Options) *Cluster {
 	s := sim.New(opts.Seed)
 	opts.Obs.SetClock(s.Now)
 	oracle := failures.NewOracle(s.Now)
-	netCfg := net.Config{Delta: opts.Delta, Jitter: opts.Jitter, UglyLossProb: 0.5, UglyMaxDelayFactor: 10, Obs: opts.Obs, Coalesce: opts.GroupCommit}
+	netCfg := net.Config{Delta: opts.Delta, Jitter: opts.Jitter, UglyLossProb: 0.5, UglyMaxDelayFactor: 10, Obs: opts.Obs}
 	if opts.Wire {
 		netCfg.Transcode = codec.Roundtrip
 		if opts.Obs != nil {
@@ -307,16 +308,15 @@ func NewCluster(opts Options) *Cluster {
 	}
 	cfg.OneRound = opts.OneRound
 	cfg.NoTokenCompaction = opts.NoTokenCompaction
-	cfg.EagerRelaunch = opts.EagerTokenRounds
 	cfg.Obs = opts.Obs
 	c := &Cluster{
 		Sim: s, Oracle: oracle, Net: nw,
-		Log:        &props.Log{},
-		Procs:      procs,
-		Cfg:        cfg,
-		Obs:        opts.Obs,
-		tr:         nw,
-		qs:         qs,
+		Log:         &props.Log{},
+		Procs:       procs,
+		Cfg:         cfg,
+		Obs:         opts.Obs,
+		tr:          nw,
+		qs:          qs,
 		skipReplay:  opts.SkipRecoveryReplay,
 		maxPending:  opts.MaxPendingBcasts,
 		deliverPipe: pipeDepth(opts.DeliverPipeline),
@@ -325,9 +325,7 @@ func NewCluster(opts Options) *Cluster {
 	c.initMetrics(opts.Obs)
 	for _, p := range procs.Members() {
 		node := newNode(c, p, p0, storage.New(s, opts.StorageLatency))
-		if opts.GroupCommit {
-			node.wal.SetGroupCommit(opts.CommitWindow)
-		}
+		node.wal.SetCommitWindow(opts.CommitWindow)
 		node.setCheckpointPolicy(opts.CheckpointBytes)
 		if p0.Contains(p) {
 			node.sealInitialState(p0)
@@ -372,11 +370,15 @@ func NewCluster(opts Options) *Cluster {
 	return c
 }
 
+// defaultDeliverPipeline is the delivery-record pipeline depth a
+// DeliverPipeline of 0 selects.
+const defaultDeliverPipeline = 64
+
 // pipeDepth normalizes a DeliverPipeline option: anything below 1 is the
-// legacy lock-step depth of one.
+// default depth.
 func pipeDepth(d int) int {
 	if d < 1 {
-		return 1
+		return defaultDeliverPipeline
 	}
 	return d
 }
@@ -659,6 +661,7 @@ func (n *Node) onGprcv(from types.ProcID, payload any) {
 			// The state exchange completed: persist the established order,
 			// nextconfirm and highprimary in one record.
 			n.wal.Establish(n.proc.Order, n.proc.NextConfirm, n.proc.HighPrimary, nil)
+			n.dropLabeledRestored()
 		}
 	default:
 		panic("stack: unexpected VS payload")
@@ -691,6 +694,7 @@ func (n *Node) crash() {
 	n.deliverReady = 0
 	n.delaySeqs = nil
 	n.needsRecovery = true
+	n.restoredPending = 0
 	n.waPending = 0
 	n.ckptPending = false
 	n.hasView = false
@@ -788,6 +792,7 @@ func (n *Node) restoreProc(snap *recovery.Snapshot) {
 		proc.Delay = append(proc.Delay, pv.Value)
 		n.delaySeqs = append(n.delaySeqs, pv.Seq)
 	}
+	n.restoredPending = len(snap.Pending)
 	n.proc = proc
 	n.bcastSeq = snap.BcastSeq
 	// The backlog bound survives restarts: every durable submission not in
@@ -804,6 +809,42 @@ func (n *Node) restoreProc(snap *recovery.Snapshot) {
 	}
 	n.hasView = snap.HasView
 	n.curView = snap.View
+}
+
+// dropLabeledRestored removes restored submissions that a previous
+// incarnation already labeled. Label records are written behind the
+// token: a value can be labeled and sent before its label record is
+// durable, and a crash that tears the record makes recovery put the value
+// back among the unlabeled submissions. Labeling it again would deliver
+// it twice. An origin labels its submissions in submission order, and in
+// label order, so once a state exchange has merged the members' contents
+// the k-th own-origin label in label order is submission k's. A restored
+// entry whose label is known this way is dropped — it is delivered under
+// that label — and the missing label record is written after all. Only
+// restored entries are checked, and only until this incarnation labels
+// them.
+func (n *Node) dropLabeledRestored() {
+	if n.restoredPending == 0 {
+		return
+	}
+	var own []types.Label
+	for l := range n.proc.Content {
+		if l.Origin == n.id {
+			own = append(own, l)
+		}
+	}
+	types.SortLabels(own)
+	for n.restoredPending > 0 && n.delaySeqs[0] <= len(own) {
+		seq, a := n.delaySeqs[0], n.proc.Delay[0]
+		l := own[seq-1]
+		if n.proc.Content[l] != a {
+			return // not this submission's label: leave it to be labeled
+		}
+		n.proc.Delay = n.proc.Delay[1:]
+		n.delaySeqs = n.delaySeqs[1:]
+		n.restoredPending--
+		n.wal.Label(seq, l, a, nil)
+	}
 }
 
 // startRecovered brings up the rebuilt VS incarnation; it runs from the
@@ -829,9 +870,14 @@ func (n *Node) startRecovered(snap *recovery.Snapshot, inc int) {
 // Deliveries are write-ahead gated: the brcv branch writes the delivery
 // record and releases the value to the client only from the record's
 // completion callback, so the durable delivery prefix never lags the
-// delivered one.
+// delivered one. The one step a paused processor still takes is that
+// release: a record can become durable while its processor is paused,
+// and replay counts every durable delivery record as delivered, so a
+// release held back until the pause ends would be lost to an amnesia
+// crash during the pause and leave a gap in the processor's deliveries.
 func (n *Node) drain() {
-	if n.orc.Proc(n.id).Down() {
+	paused := n.orc.Proc(n.id).Down()
+	if paused && n.deliverReady == 0 {
 		return
 	}
 	n.drainDepth++
@@ -845,9 +891,15 @@ func (n *Node) drain() {
 			n.performBrcv()
 			progress = true
 		}
+		if paused {
+			break
+		}
 		if _, ok := n.proc.LabelEnabled(); ok {
 			seq := n.delaySeqs[0]
 			n.delaySeqs = n.delaySeqs[1:]
+			if n.restoredPending > 0 {
+				n.restoredPending--
+			}
 			l := n.proc.Label()
 			if n.labelAt != nil {
 				n.labelAt[l] = n.sim.Now()
@@ -880,8 +932,8 @@ func (n *Node) drain() {
 		// Write delivery records ahead of the release point, up to the
 		// pipeline depth: while one record's write is riding out the
 		// storage latency the next confirmed positions get their records
-		// enqueued behind it (and, under group commit, coalesced into the
-		// same covering write) instead of waiting a full λ each.
+		// enqueued behind it (and coalesced into the same covering WAL
+		// write) instead of waiting a full λ each.
 		for n.deliverInFlight+n.deliverReady < n.c.deliverPipe {
 			pos := n.proc.NextReport + n.deliverReady + n.deliverInFlight
 			from, a, ok := n.proc.BrcvEnabledAt(pos)
@@ -914,7 +966,9 @@ func (n *Node) drain() {
 			}
 		}
 	}
-	n.maybeCheckpoint()
+	if !paused {
+		n.maybeCheckpoint()
+	}
 }
 
 // maybeCheckpoint appends a checkpoint record once ckptEvery bytes of log

@@ -5,14 +5,16 @@
 //
 // Once a view is installed, a deterministically chosen leader (the minimum
 // member) launches a token around the logical ring of members, spacing
-// launches by π. Each member, when the token passes: appends its buffered
-// client messages to the token's sequence, delivers (gprcv) every message
-// of the sequence it has not yet delivered, records its delivery count in
-// the token, and emits safe events for the prefix of the sequence that
-// every member's recorded count covers. A member that sees no token
-// activity for the timeout π + (n+3)δ initiates a view change, as does a
-// member contacted by a processor outside its membership (probes are sent
-// to non-members every μ).
+// launches by π while the ring is idle and relaunching as soon as a
+// rotation comes home with work still queued. Each member, when the token
+// passes: appends its buffered client messages to the token's sequence,
+// delivers (gprcv) every message of the sequence it has not yet
+// delivered, records its delivery count in the token, and emits safe
+// events for the prefix of the sequence that every member's recorded
+// count covers. A member that sees no token activity for the timeout
+// π + (n+3)δ initiates a view change, as does a member contacted by a
+// processor outside its membership (probes are sent to non-members
+// every μ).
 //
 // Under the physical assumptions of Section 8 (good processors act
 // immediately, good channels deliver within δ) this implements
@@ -60,14 +62,6 @@ type Config struct {
 	// ReachWindow is the staleness horizon of the one-round reachability
 	// estimate (default 2μ).
 	ReachWindow time.Duration
-	// EagerRelaunch makes the leader relaunch the token immediately when
-	// the returning rotation shows work still queued — messages buffered
-	// anywhere, or a sequence suffix not yet emitted safe — instead of
-	// pacing every launch at π. An idle ring still launches at the π
-	// cadence, and a rotation costs at least nδ of wire time, so eager
-	// rounds cannot spin; they just stop a loaded ring from idling between
-	// rotations while TOBcasts queue up.
-	EagerRelaunch bool
 	// InstallSlack stretches the patience windows that implicitly assume a
 	// view installation is instantaneous: the token-loss timeout and the
 	// formation hold-off. With write-ahead install gating (internal/
@@ -529,19 +523,19 @@ func (n *Node) handleToken(tok *TokenPkt) {
 	if n.isLeader() {
 		// The token is home: one full ring rotation has completed.
 		n.mTokenRound.Record(n.sim.Now().Sub(n.lastLaunch))
-		// With eager relaunch, a rotation that comes home with work still
-		// queued — buffered messages or a sequence suffix not yet safe —
-		// starts the next rotation immediately: the queued messages and
-		// the count propagation they are waiting on ride the very next
-		// round instead of idling out the rest of the π window. The ring's
-		// nδ wire time paces consecutive rounds, so this cannot spin.
-		if n.cfg.EagerRelaunch && (len(n.buffer) > 0 || n.safeSent < len(n.seq)) {
+		// A rotation that comes home with work still queued — buffered
+		// messages or a sequence suffix not yet safe — starts the next
+		// rotation immediately: the queued messages and the count
+		// propagation they are waiting on ride the very next round instead
+		// of idling out the rest of the π window. The ring's nδ wire time
+		// paces consecutive rounds, so this cannot spin.
+		if len(n.buffer) > 0 || n.safeSent < len(n.seq) {
 			n.holdTimer.Cancel()
 			n.launchToken()
 			return
 		}
-		// Hold it and relaunch π after the previous launch (the paper's
-		// "spacing of token creation").
+		// An idle ring holds the token and relaunches π after the previous
+		// launch (the paper's "spacing of token creation").
 		next := n.lastLaunch.Add(n.cfg.Pi)
 		n.holdTimer.Cancel()
 		if next <= n.sim.Now() {

@@ -153,10 +153,10 @@ func TestEstablishPrimaryAdoptsFullOrder(t *testing.T) {
 	if p.HighPrimary != v2.ID {
 		t.Errorf("highprimary = %v, want %v", p.HighPrimary, v2.ID)
 	}
-	// fullorder: chosenrep is the max-procid member with max high (all
-	// g0) → p2, whose ord is empty; so everything appears in label order.
-	want := []types.Label{lc, la, lb} // lc has origin 1 but seqno... all in g0:
-	types.SortLabels(want)
+	// fullorder: chosenrep is the member with max high (all g0) and the
+	// longest ord → p itself, so its order [la lb] comes first and the
+	// peer's extra label follows.
+	want := []types.Label{la, lb, lc}
 	if len(p.Order) != 3 {
 		t.Fatalf("order = %v", p.Order)
 	}

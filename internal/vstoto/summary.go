@@ -138,13 +138,26 @@ func (y GotState) Reps() []types.ProcID {
 
 // ChosenRep returns chosenrep(Y). Any deterministic choice works as long as
 // all processors choose identically from identical information; we take the
-// representative with the highest processor id, as the paper suggests.
+// representative with the longest order, ties broken by the highest
+// processor id. In the paper's model every representative's order is a
+// prefix of the same primary view's order, so the longest one loses
+// nothing. A processor restored from its write-ahead log after an amnesia
+// crash can hold a shorter prefix than it acknowledged before the crash
+// (the order-append records are written behind the token), and this
+// choice keeps such a prefix from truncating labels its peers already
+// confirmed.
 func (y GotState) ChosenRep() types.ProcID {
 	reps := y.Reps()
 	if len(reps) == 0 {
 		panic("vstoto: ChosenRep of empty gotstate")
 	}
-	return reps[len(reps)-1]
+	best := reps[0]
+	for _, q := range reps[1:] {
+		if len(y[q].Ord) >= len(y[best].Ord) {
+			best = q
+		}
+	}
+	return best
 }
 
 // ShortOrder returns shortorder(Y) = Y(chosenrep(Y)).ord.

@@ -47,17 +47,18 @@ func TestGotStateAggregates(t *testing.T) {
 	if len(reps) != 2 || reps[0] != 0 || reps[1] != 2 {
 		t.Fatalf("Reps = %v", reps)
 	}
-	// ChosenRep: highest processor id among reps.
-	if got := y.ChosenRep(); got != 2 {
+	// ChosenRep: the rep with the longest order (p0's two labels beat
+	// p2's empty order).
+	if got := y.ChosenRep(); got != 0 {
 		t.Errorf("ChosenRep = %v", got)
 	}
-	// ShortOrder = chosen rep's ord (empty for p2).
-	if got := y.ShortOrder(); len(got) != 0 {
+	// ShortOrder = chosen rep's ord.
+	if got := y.ShortOrder(); len(got) != 2 || got[0] != la || got[1] != lc {
 		t.Errorf("ShortOrder = %v", got)
 	}
 	// FullOrder = shortorder + remaining knowncontent in label order.
 	fo := y.FullOrder()
-	want := []types.Label{la, lb, lc}
+	want := []types.Label{la, lc, lb}
 	if len(fo) != 3 {
 		t.Fatalf("FullOrder = %v", fo)
 	}
@@ -68,6 +69,21 @@ func TestGotStateAggregates(t *testing.T) {
 	}
 	if got := y.MaxNextConfirm(); got != 3 {
 		t.Errorf("MaxNextConfirm = %d", got)
+	}
+}
+
+// TestChosenRepTieBreaksOnProcID: among representatives whose orders are
+// equally long, the highest processor id is chosen.
+func TestChosenRepTieBreaksOnProcID(t *testing.T) {
+	la := lbl(1, 1, 0)
+	high := types.ViewID{Epoch: 2, Proc: 0}
+	y := GotState{
+		3: {Con: map[types.Label]types.Value{la: "a"}, Ord: []types.Label{la}, Next: 2, High: high},
+		1: {Con: map[types.Label]types.Value{la: "a"}, Ord: []types.Label{la}, Next: 2, High: high},
+		4: {Con: map[types.Label]types.Value{}, Next: 1, High: high},
+	}
+	if got := y.ChosenRep(); got != 3 {
+		t.Errorf("ChosenRep = %v, want p3 (longest order, highest id)", got)
 	}
 }
 
