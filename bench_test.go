@@ -7,6 +7,7 @@ package pgcs_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -142,6 +143,59 @@ func BenchmarkStackThroughput(b *testing.B) {
 			}
 			perSec := float64(delivered) / (float64(c.Sim.Now()) / float64(time.Second))
 			b.ReportMetric(perSec, "msgs/simsec")
+		})
+	}
+}
+
+// BenchmarkStackLongHistory measures the per-delivery cost of the steady-
+// state delivery path once every node already retains a long history: the
+// same batches of submissions, run after 1k and after 30k deliveries per
+// node. A step whose work grows with the history shows up as a gap in
+// ns/delivery (and B/delivery) between the two. Each iteration submits one
+// batch and runs until every node has delivered it; the iterations grow
+// the history further, so keep -benchtime modest (e.g. 200x) to keep the
+// two histories apart.
+func BenchmarkStackLongHistory(b *testing.B) {
+	const n, batch = 3, 64
+	for _, history := range []int{1_000, 30_000} {
+		b.Run(fmt.Sprintf("h%dk", history/1000), func(b *testing.B) {
+			c := stack.NewCluster(stack.Options{Seed: 1, N: n, Delta: time.Millisecond})
+			sent := 0
+			submit := func(k int) {
+				for j := 0; j < k; j++ {
+					c.Bcast(types.ProcID(sent%n), types.Value(fmt.Sprintf("v%d", sent)))
+					sent++
+				}
+				deadline := c.Sim.Now().Add(10 * time.Second)
+				for _, p := range c.Procs.Members() {
+					for len(c.Deliveries(p)) < sent {
+						if c.Sim.Now() > deadline {
+							b.Fatalf("node %v delivered %d of %d", p, len(c.Deliveries(p)), sent)
+						}
+						if err := c.Sim.RunFor(time.Millisecond); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			if err := c.Sim.RunFor(50 * time.Millisecond); err != nil {
+				b.Fatal(err)
+			}
+			for sent < history {
+				submit(min(4*batch, history-sent))
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				submit(batch)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			deliveries := float64(n * batch * b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deliveries, "ns/delivery")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/deliveries, "B/delivery")
 		})
 	}
 }

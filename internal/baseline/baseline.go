@@ -63,6 +63,10 @@ type node struct {
 
 	bcastSeq   int
 	deliveries []Delivery
+	// released counts, per origin, the values delivered here: after a
+	// delivery, the delivered value's origin sequence number (TO delivers
+	// each origin's values in submission order with no gaps).
+	released map[types.ProcID]int
 }
 
 // NewCluster builds and starts a baseline instance.
@@ -91,12 +95,13 @@ func NewCluster(opts Options) *Cluster {
 	}
 	for _, p := range procs.Members() {
 		nd := &node{
-			id:     p,
-			sim:    s,
-			orc:    oracle,
-			proc:   vstoto.NewProc(p, qs, procs),
-			log:    c.Log,
-			stable: storage.New(s, opts.StorageLatency),
+			id:       p,
+			sim:      s,
+			orc:      oracle,
+			proc:     vstoto.NewProc(p, qs, procs),
+			log:      c.Log,
+			stable:   storage.New(s, opts.StorageLatency),
+			released: make(map[types.ProcID]int),
 		}
 		nd.vs = vsimpl.NewNode(p, procs, procs, s, nw, oracle, cfg, vsimpl.Handlers{
 			Newview: func(v types.View) { nd.proc.Newview(v); nd.drain() },
@@ -185,13 +190,13 @@ func (nd *node) drain() {
 			})
 		}
 		if from, a, ok := nd.proc.BrcvEnabled(); ok {
-			reportIdx := nd.proc.NextReport
 			nd.proc.Brcv()
+			nd.released[from]++
 			nd.deliveries = append(nd.deliveries, Delivery{From: from, Value: a, Time: nd.sim.Now()})
 			if nd.log != nil {
 				nd.log.Append(props.Event{
 					T: nd.sim.Now(), Kind: props.TOBrcv, P: nd.id, From: from,
-					Value: a, ValueSeq: nd.originSeq(reportIdx, from),
+					Value: a, ValueSeq: nd.released[from],
 				})
 			}
 			progress = true
@@ -200,14 +205,4 @@ func (nd *node) drain() {
 			return
 		}
 	}
-}
-
-func (nd *node) originSeq(idx int, origin types.ProcID) int {
-	count := 0
-	for i := 0; i < idx && i < len(nd.proc.Order); i++ {
-		if nd.proc.Order[i].Origin == origin {
-			count++
-		}
-	}
-	return count
 }

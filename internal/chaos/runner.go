@@ -253,9 +253,21 @@ func Run(cfg Config) *Result {
 // and returns the number of VS events checked plus the first violation, if
 // any. p0 is the initial-view membership (the stack starts every processor
 // inside it unless Options.P0Size says otherwise).
+//
+// Beyond the TO trace check, every delivery must carry its value's
+// identity: the (From, ValueSeq) of a brcv must name that origin's bcast
+// of the same value. The trace checker matches deliveries by position
+// alone, and the rejoin-safety check compares the log against WAL records
+// stamped by the same counters, so a miscounted origin sequence number
+// would otherwise pass both.
 func Conformance(log *props.Log, universe, p0 types.ProcSet) (int, error) {
 	vck := check.NewVSChecker(universe, p0)
 	tck := check.NewTOChecker()
+	type submission struct {
+		origin types.ProcID
+		seq    int
+	}
+	bcasts := make(map[submission]types.Value)
 	for _, e := range log.Events {
 		var err error
 		switch e.Kind {
@@ -268,8 +280,19 @@ func Conformance(log *props.Log, universe, p0 types.ProcSet) (int, error) {
 		case props.VSSafe:
 			err = vck.Safe(e.Msg, e.P)
 		case props.TOBcast:
+			k := submission{e.P, e.ValueSeq}
+			if _, dup := bcasts[k]; dup {
+				err = fmt.Errorf("check: bcast(%q)_%v reuses submission number %d", string(e.Value), e.P, e.ValueSeq)
+				break
+			}
+			bcasts[k] = e.Value
 			tck.Bcast(e.Value, e.P)
 		case props.TOBrcv:
+			if a, ok := bcasts[submission{e.From, e.ValueSeq}]; !ok || a != e.Value {
+				err = fmt.Errorf("check: brcv(%q)_{%v,%v} names submission #%d of %v, which is not a bcast of that value",
+					string(e.Value), e.From, e.P, e.ValueSeq, e.From)
+				break
+			}
 			err = tck.Brcv(e.Value, e.From, e.P)
 		}
 		if err != nil {

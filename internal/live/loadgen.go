@@ -76,6 +76,7 @@ type connSlot struct {
 
 	outstanding atomic.Int64
 	submitted   atomic.Int64
+	lines       atomic.Int64 // delivery lines read on this connection
 }
 
 func (s *connSlot) client() *Client {
@@ -100,6 +101,10 @@ type retryItem struct {
 	node  int
 	dueAt time.Time
 }
+
+// deliveryGrace bounds how long RunLoad keeps reading delivery lines
+// after the origin drain, for lines still in flight to other clients.
+const deliveryGrace = time.Second
 
 // RunLoad drives the cluster at the target rate and reports throughput
 // and delivery latency in the benchmark baseline's entry shape. Delivery
@@ -267,6 +272,7 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 							break
 						}
 						delivered.Add(1)
+						s.lines.Add(1)
 						if len(d.Value) < len(mine) || d.Value[:len(mine)] != mine {
 							break
 						}
@@ -426,6 +432,23 @@ func RunLoad(opts LoadOptions) (experiments.BenchEntry, error) {
 			break
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+	// The origins have their own values back, but a line can still be in
+	// flight to another node's client. Keep reading until every
+	// connection has seen every value resolved at its origin, or for a
+	// short grace: a connection that lost lines to a daemon restart never
+	// catches up.
+	resolved := samples.Load() + stalledRecovered.Load()
+	graceDeadline := time.Now().Add(deliveryGrace)
+	for time.Now().Before(graceDeadline) {
+		behind := false
+		for _, s := range slots {
+			behind = behind || s.lines.Load() < resolved
+		}
+		if !behind {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	close(stop)
 	for _, s := range slots {

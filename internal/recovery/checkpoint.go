@@ -18,7 +18,7 @@ import (
 // reconstructed from the order — its label is Order[i], its origin the
 // label's, its origin sequence number a running per-origin counter, and
 // its value Content[Order[i]] — exactly the identities the stack's
-// originSeq computes at delivery time.
+// per-origin release counters assign at delivery time.
 type CheckpointState struct {
 	// HasView and View mirror Snapshot: the last installed view (the
 	// membership floor).

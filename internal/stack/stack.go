@@ -67,6 +67,13 @@ type Node struct {
 
 	bcastSeq   int        // per-origin submission counter for the log
 	deliveries []Delivery // everything delivered here, in order
+	// released counts, per origin, the values in the released delivery
+	// prefix. TO releases each origin's values in submission order with
+	// no gaps, so after a release the count is the released value's origin
+	// sequence number: the identity the log needs to match brcv events to
+	// bcast events, at O(1) cost per delivery. Recovery reseeds it from the
+	// durable delivered prefix.
+	released map[types.ProcID]int
 	// pendingOwn counts this node's accepted submissions not yet delivered
 	// back to it — the end-to-end TOBcast backlog TryBcast bounds. It
 	// survives restarts: recovery recomputes it as the durable submission
@@ -414,13 +421,14 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 // a WAL-restored one) and whether to seal the initial durable records.
 func newNode(c *Cluster, p types.ProcID, p0 types.ProcSet, dev *storage.Stable) *Node {
 	node := &Node{
-		id:   p,
-		sim:  c.Sim,
-		orc:  c.Oracle,
-		c:    c,
-		proc: vstoto.NewProc(p, c.qs, p0),
-		log:  c.Log,
-		wal:  recovery.New(dev),
+		id:       p,
+		sim:      c.Sim,
+		orc:      c.Oracle,
+		c:        c,
+		proc:     vstoto.NewProc(p, c.qs, p0),
+		log:      c.Log,
+		wal:      recovery.New(dev),
+		released: make(map[types.ProcID]int),
 	}
 	node.proc.SetObs(c.Obs)
 	node.wal.Instrument(c.Obs)
@@ -766,10 +774,6 @@ func (n *Node) recover() {
 	})
 }
 
-// restoreProc rebuilds the VStoTO automaton from a WAL replay snapshot:
-// restored to the last durable establishment (extended by durable order
-// appends), the persisted delivery prefix marked reported, and durable-
-// but-unlabeled submissions back in the delay queue.
 // logicalOff rebases a replay-relative offset (within the retained
 // image) to the log's logical coordinates; -1 (absent) stays -1.
 func logicalOff(base, off int) int {
@@ -779,6 +783,10 @@ func logicalOff(base, off int) int {
 	return base + off
 }
 
+// restoreProc rebuilds the VStoTO automaton from a WAL replay snapshot:
+// restored to the last durable establishment (extended by durable order
+// appends), the persisted delivery prefix marked reported, and durable-
+// but-unlabeled submissions back in the delay queue.
 func (n *Node) restoreProc(snap *recovery.Snapshot) {
 	proc := vstoto.NewProc(n.id, n.c.qs, types.ProcSet{})
 	proc.Order = append([]types.Label(nil), snap.Order...)
@@ -795,15 +803,15 @@ func (n *Node) restoreProc(snap *recovery.Snapshot) {
 	n.restoredPending = len(snap.Pending)
 	n.proc = proc
 	n.bcastSeq = snap.BcastSeq
-	// The backlog bound survives restarts: every durable submission not in
+	// The per-origin release counts restart from the durable delivered
+	// prefix, which is exactly what this incarnation has released. The
+	// backlog bound survives restarts too: every durable submission not in
 	// the durable own-origin delivered prefix is still outstanding.
-	own := 0
+	n.released = make(map[types.ProcID]int)
 	for _, d := range snap.Delivered {
-		if d.From == n.id {
-			own++
-		}
+		n.released[d.From]++
 	}
-	n.pendingOwn = snap.BcastSeq - own
+	n.pendingOwn = snap.BcastSeq - n.released[n.id]
 	if n.pendingOwn < 0 {
 		n.pendingOwn = 0
 	}
@@ -944,7 +952,7 @@ func (n *Node) drain() {
 			inc := n.incarnation
 			n.deliverInFlight++
 			n.waPending++
-			n.wal.Deliver(pos, l, from, n.originSeq(pos, from), a, func() {
+			n.wal.Deliver(pos, l, from, n.aheadSeq(pos, from), a, func() {
 				if n.incarnation != inc {
 					return
 				}
@@ -1021,6 +1029,8 @@ func (n *Node) performBrcv() {
 	}
 	reportIdx := n.proc.NextReport // 1-based position about to be consumed
 	n.proc.Brcv()
+	n.released[from]++
+	seq := n.released[from]
 	d := Delivery{From: from, Value: a, Time: n.sim.Now()}
 	n.deliveries = append(n.deliveries, d)
 	if from == n.id && n.pendingOwn > 0 {
@@ -1033,14 +1043,14 @@ func (n *Node) performBrcv() {
 			n.c.m.confirmToRelease.Record(n.sim.Now().Sub(at))
 			delete(n.confirmAt, l)
 		}
-		if at, ok := n.c.submitted[submitKey{origin: from, seq: n.originSeq(reportIdx, from)}]; ok {
+		if at, ok := n.c.submitted[submitKey{origin: from, seq: seq}]; ok {
 			n.c.m.deliverLatency.Record(n.sim.Now().Sub(at))
 		}
 	}
 	if n.log != nil {
 		n.log.Append(props.Event{
 			T: n.sim.Now(), Kind: props.TOBrcv, P: n.id, From: from,
-			Value: a, ValueSeq: n.originSeq(reportIdx, from),
+			Value: a, ValueSeq: seq,
 		})
 	}
 	for _, fn := range n.onRcv {
@@ -1048,18 +1058,18 @@ func (n *Node) performBrcv() {
 	}
 }
 
-// originSeq computes the per-origin submission index of the delivered
-// value: among the labels in this node's order up to and including
-// position idx, the count from the same origin. Because TO delivers each
-// origin's values in submission order with no gaps, this equals the
-// origin's bcast sequence number — giving the log the identity it needs to
-// match brcv events with bcast events.
-func (n *Node) originSeq(idx int, origin types.ProcID) int {
-	count := 0
-	for i := 0; i < idx && i < len(n.proc.Order); i++ {
-		if n.proc.Order[i].Origin == origin {
-			count++
+// aheadSeq is the origin sequence number of the value at confirmed
+// position pos ≥ NextReport, whose delivery record is written before its
+// release: the origin's released count plus its labels in the pipeline
+// window Order[NextReport-1 : pos-1] ahead of it. The window holds fewer
+// than DeliverPipeline entries, so the cost does not grow with the
+// history.
+func (n *Node) aheadSeq(pos int, origin types.ProcID) int {
+	seq := n.released[origin] + 1
+	for _, l := range n.proc.Order[n.proc.NextReport-1 : pos-1] {
+		if l.Origin == origin {
+			seq++
 		}
 	}
-	return count
+	return seq
 }

@@ -12,15 +12,25 @@ import (
 )
 
 // toConformance replays the recorded TO events through the TO-machine
-// trace checker.
+// trace checker, and checks that every brcv's (From, ValueSeq) names its
+// origin's bcast of the same value.
 func toConformance(t *testing.T, log *props.Log) *check.TOChecker {
 	t.Helper()
 	ck := check.NewTOChecker()
+	type submission struct {
+		origin types.ProcID
+		seq    int
+	}
+	bcasts := make(map[submission]types.Value)
 	for _, e := range log.Events {
 		switch e.Kind {
 		case props.TOBcast:
 			ck.Bcast(e.Value, e.P)
+			bcasts[submission{e.P, e.ValueSeq}] = e.Value
 		case props.TOBrcv:
+			if a, ok := bcasts[submission{e.From, e.ValueSeq}]; !ok || a != e.Value {
+				t.Fatalf("TO conformance: brcv names no bcast of its value\nevent: %v", e)
+			}
 			if err := ck.Brcv(e.Value, e.From, e.P); err != nil {
 				t.Fatalf("TO conformance: %v\nevent: %v", err, e)
 			}

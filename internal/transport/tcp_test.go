@@ -210,18 +210,23 @@ func TestSendQueueOverflow(t *testing.T) {
 		c.DialMax = 500 * time.Millisecond
 	})
 
+	// The writer pops up to a whole write batch before it dials, so one
+	// that woke mid-burst would hold an unknown number of frames. Let it
+	// take exactly one first: once m0 leaves the queue the writer is stuck
+	// dialing (and backing off) until the peer comes up, holding m0 alone.
 	const total = 10
-	for i := 0; i < total; i++ {
+	a.Send(0, 1, "m0")
+	waitFor(t, 2*time.Second, "writer to take m0", func() bool { return transport.QueueDepth(a, 1) == 0 })
+	for i := 1; i < total; i++ {
 		a.Send(0, 1, fmt.Sprintf("m%d", i))
 	}
-	// Everything is either queued (≤ limit), held by the writer (≤ 1), or
-	// dropped; wait for the accounting to settle.
-	drops := regA.Counter("transport.drops_overflow")
-	waitFor(t, 2*time.Second, "overflow drops", func() bool { return drops.Value() >= total-4-1 })
-	if d := drops.Value(); d > total-4 {
-		t.Fatalf("drops_overflow = %d, want at most %d", d, total-4)
+	// The burst fills the queue and then evicts its oldest frame once per
+	// further send; evictions happen synchronously inside Send, so the
+	// counter is final here.
+	dropped := int(regA.Counter("transport.drops_overflow").Value())
+	if want := total - 1 - 4; dropped != want {
+		t.Fatalf("drops_overflow = %d, want %d", dropped, want)
 	}
-	dropped := int(drops.Value())
 
 	// Bring the peer up; the survivors must all arrive.
 	var got sink
@@ -234,7 +239,11 @@ func TestSendQueueOverflow(t *testing.T) {
 	if len(pkts) != want {
 		t.Fatalf("delivered %d frames, want %d (dropped %d)", len(pkts), want, dropped)
 	}
-	// Drop-oldest: the newest 4 sends always survive, in order, at the tail.
+	// Drop-oldest: the frame the writer held arrives first, then the
+	// newest 4 sends, in order.
+	if pkts[0].Payload != "m0" {
+		t.Errorf("first delivery = %#v, want the held frame \"m0\"", pkts[0].Payload)
+	}
 	tail := pkts[len(pkts)-4:]
 	for i, pkt := range tail {
 		want := fmt.Sprintf("m%d", total-4+i)

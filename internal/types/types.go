@@ -177,6 +177,25 @@ func (s ProcSet) Intersect(t ProcSet) ProcSet {
 	return ProcSet{ids: out}
 }
 
+// IntersectSize returns |s ∩ t| without building the intersection: one
+// merge pass over the two sorted member lists, allocation-free.
+func (s ProcSet) IntersectSize(t ProcSet) int {
+	n, i, j := 0, 0, 0
+	for i < len(s.ids) && j < len(t.ids) {
+		switch {
+		case s.ids[i] < t.ids[j]:
+			i++
+		case s.ids[i] > t.ids[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 // Without returns s \ {p}.
 func (s ProcSet) Without(p ProcID) ProcSet {
 	var out []ProcID
@@ -278,7 +297,7 @@ type Majorities struct {
 // IsQuorumContained reports whether s contains a strict majority of the
 // universe.
 func (m Majorities) IsQuorumContained(s ProcSet) bool {
-	return 2*s.Intersect(m.Universe).Size() > m.Universe.Size()
+	return 2*s.IntersectSize(m.Universe) > m.Universe.Size()
 }
 
 // ExplicitQuorums is a quorum system given by an explicit list of quorums.

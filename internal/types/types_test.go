@@ -182,6 +182,14 @@ func TestProcSetQuickProperties(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
+	// IntersectSize counts exactly the members Intersect builds.
+	err = quick.Check(func(xs, ys []uint8) bool {
+		a, b := mk(xs), mk(ys)
+		return a.IntersectSize(b) == a.Intersect(b).Size() && a.IntersectSize(b) == b.IntersectSize(a)
+	}, cfg)
+	if err != nil {
+		t.Error(err)
+	}
 	// Members are strictly sorted (and hence unique).
 	err = quick.Check(func(xs []uint8) bool {
 		m := mk(xs).Members()
@@ -250,6 +258,17 @@ func TestMajorities(t *testing.T) {
 		if got := m.IsQuorumContained(c.set); got != c.want {
 			t.Errorf("IsQuorumContained(%v) = %t, want %t", c.set, got, c.want)
 		}
+	}
+}
+
+// TestMajoritiesQuorumTestAllocationFree: the quorum test runs on every
+// drain iteration of every node (vstoto.Proc.Primary), so it counts
+// members instead of building the intersection set.
+func TestMajoritiesQuorumTestAllocationFree(t *testing.T) {
+	m := Majorities{Universe: RangeProcSet(9)}
+	view := NewProcSet(0, 2, 3, 5, 7, 11)
+	if allocs := testing.AllocsPerRun(100, func() { m.IsQuorumContained(view) }); allocs != 0 {
+		t.Fatalf("IsQuorumContained allocates %v times per call, want 0", allocs)
 	}
 }
 

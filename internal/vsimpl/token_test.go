@@ -252,3 +252,53 @@ func TestCompactionDisabledStillConformant(t *testing.T) {
 		}
 	}
 }
+
+// TestLaunchCopiesOnlyUndeliveredSuffix: a launched token carries exactly
+// the suffix of the leader's sequence that compaction keeps — the entries
+// from the minimum member count on — and, under the E11 ablation, the
+// whole sequence. It is checked at every step of a loaded run against a
+// full copy compacted the way a token hop compacts it.
+func TestLaunchCopiesOnlyUndeliveredSuffix(t *testing.T) {
+	for _, noCompact := range []bool{false, true} {
+		c := newCluster(97, 3, 3, time.Millisecond, false)
+		for _, nd := range c.nodes {
+			nd.cfg.NoTokenCompaction = noCompact
+		}
+		leader := c.nodes[0]
+		trimmed := 0 // launches that left a non-empty prefix behind
+		for step := 0; step < 400; step++ {
+			c.nodes[types.ProcID(step%3)].Gpsnd(fmt.Sprintf("m%d", step))
+			if err := c.sim.RunFor(250 * time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			if !leader.isLeader() {
+				t.Fatal("p0 lost the leadership of a stable view")
+			}
+			tok := leader.newToken()
+			ref := &TokenPkt{View: leader.cur, Msgs: append([]TokenMsg(nil), leader.seq...), Delivered: copyCounts(leader.counts)}
+			leader.compactToken(ref)
+			if noCompact && (tok.Base != 0 || len(tok.Msgs) != len(leader.seq)) {
+				t.Fatalf("step %d: ablation launch has base %d and %d entries, want the full %d",
+					step, tok.Base, len(tok.Msgs), len(leader.seq))
+			}
+			if tok.Base != ref.Base || len(tok.Msgs) != len(ref.Msgs) {
+				t.Fatalf("step %d (noCompact=%t): launch has base %d and %d entries, compacted copy %d and %d",
+					step, noCompact, tok.Base, len(tok.Msgs), ref.Base, len(ref.Msgs))
+			}
+			for i := range tok.Msgs {
+				if tok.Msgs[i].ID != ref.Msgs[i].ID || tok.Msgs[i].ID != leader.seq[tok.Base+i].ID {
+					t.Fatalf("step %d: launch entry %d is %v, want %v", step, i, tok.Msgs[i].ID, ref.Msgs[i].ID)
+				}
+			}
+			if len(tok.Msgs) > 0 && &tok.Msgs[0] == &leader.seq[tok.Base] {
+				t.Fatalf("step %d: launched token aliases the leader's sequence", step)
+			}
+			if tok.Base > 0 && len(tok.Msgs) > 0 {
+				trimmed++
+			}
+		}
+		if !noCompact && trimmed == 0 {
+			t.Fatal("no launch ever trimmed a delivered prefix: the check is vacuous")
+		}
+	}
+}

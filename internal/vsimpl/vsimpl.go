@@ -489,17 +489,28 @@ func (n *Node) launchToken() {
 	n.launchNo++
 	n.mTokenLaunches.Inc()
 	n.lastLaunch = n.sim.Now()
-	tok := &TokenPkt{
-		View:      n.cur,
-		Msgs:      append([]TokenMsg(nil), n.seq...),
-		Delivered: copyCounts(n.counts),
-	}
-	n.compactToken(tok)
+	tok := n.newToken()
 	// A launch counts as token activity; in a singleton view it is the only
 	// activity, and must keep the loss detector quiet.
 	n.armTokenTimer()
 	n.mergeToken(tok)
 	n.forwardToken(tok)
+}
+
+// newToken builds the token a launch starts from: the current view, this
+// node's delivery counts, and the suffix of its sequence that some member
+// has not delivered yet. The prefix below the minimum count is exactly
+// what compactToken would drop, so copying only the suffix keeps a
+// launch's cost to the undelivered window instead of the view's whole
+// history. The E11 ablation (NoTokenCompaction) launches the full
+// sequence.
+func (n *Node) newToken() *TokenPkt {
+	tok := &TokenPkt{View: n.cur, Delivered: copyCounts(n.counts)}
+	if !n.cfg.NoTokenCompaction {
+		tok.Base = min(minDelivered(tok), len(n.seq))
+	}
+	tok.Msgs = append([]TokenMsg(nil), n.seq[tok.Base:]...)
+	return tok
 }
 
 func copyCounts(m map[types.ProcID]int) map[types.ProcID]int {
@@ -616,16 +627,22 @@ func (n *Node) compactToken(tok *TokenPkt) {
 	if n.cfg.NoTokenCompaction {
 		return
 	}
+	if minCount := minDelivered(tok); minCount > tok.Base {
+		tok.Msgs = append([]TokenMsg(nil), tok.Msgs[minCount-tok.Base:]...)
+		tok.Base = minCount
+	}
+}
+
+// minDelivered is the smallest delivery count the token carries for a
+// member of its view: every entry below it is delivered everywhere.
+func minDelivered(tok *TokenPkt) int {
 	minCount := int(^uint(0) >> 1)
 	for _, p := range tok.View.Set.Members() {
 		if c := tok.Delivered[p]; c < minCount {
 			minCount = c
 		}
 	}
-	if minCount > tok.Base {
-		tok.Msgs = append([]TokenMsg(nil), tok.Msgs[minCount-tok.Base:]...)
-		tok.Base = minCount
-	}
+	return minCount
 }
 
 // forwardToken sends the token to the next member around the ring.
