@@ -12,6 +12,7 @@
 //	go run ./cmd/chaos -campaign leader-crash -seed 42 -n 6 -window 8s -v
 //	go run ./cmd/chaos -campaign mixed -runs 5 -out artifacts/
 //	go run ./cmd/chaos -campaign all -runs 8 -workers 1   # serial sweep
+//	go run ./cmd/chaos -campaign amnesia -runs 300 -checkpoint-bytes 1024
 //	go run ./cmd/chaos -replay artifacts/mixed-seed3.json
 //
 // The campaign sweep fans the independent runs across -workers cores (and
@@ -43,6 +44,7 @@ func main() {
 		window   = flag.Duration("window", 4*time.Second, "adversary window (forced heal at the end)")
 		bound    = flag.Duration("bound", 0, "recovery-liveness deadline after the heal (0 = analytic b + 2d)")
 		wire     = flag.Bool("wire", false, "transcode every payload through the wire codec")
+		ckpt     = flag.Int("checkpoint-bytes", 0, "arm WAL snapshot/compaction: checkpoint after this many bytes of log growth (0 = off)")
 		outDir   = flag.String("out", "", "directory for counterexample artifacts (default: current dir)")
 		maxRuns  = flag.Int("shrink-runs", 600, "delta-debugging budget (candidate runs)")
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel runs (1 = serial; output is identical either way)")
@@ -76,6 +78,11 @@ func main() {
 		exit(replayArtifact(*replay, *verbose))
 	}
 
+	if *ckpt < 0 {
+		fmt.Fprintln(os.Stderr, "chaos: -checkpoint-bytes must be ≥ 0")
+		exit(2)
+	}
+
 	var campaigns []chaos.CampaignType
 	if *campaign == "all" {
 		campaigns = chaos.Campaigns
@@ -94,6 +101,7 @@ func main() {
 			cfgs = append(cfgs, chaos.Config{
 				Campaign: ct, Seed: s, N: *n, Delta: *delta,
 				Window: *window, RecoveryBound: *bound, Wire: *wire,
+				CheckpointBytes: *ckpt,
 			})
 		}
 	}

@@ -29,6 +29,9 @@ type Artifact struct {
 	// (defaults already resolved, so replays survive changes to the
 	// torn-write campaign's default).
 	StorageLatencyNS int64 `json:"storage_latency_ns,omitempty"`
+	// CheckpointBytes is the WAL checkpoint threshold the run armed
+	// (0: compaction off).
+	CheckpointBytes int `json:"checkpoint_bytes,omitempty"`
 	// RecoveryBoundNS is the explicit liveness deadline; always recorded
 	// (never 0) so replays survive changes to the analytic default.
 	RecoveryBoundNS int64 `json:"recovery_bound_ns"`
@@ -59,6 +62,7 @@ func NewArtifact(r *Result) Artifact {
 		WindowNS:         int64(r.Config.Window),
 		Wire:             r.Config.Wire,
 		StorageLatencyNS: int64(r.Config.StorageLatency),
+		CheckpointBytes:  r.Config.CheckpointBytes,
 		RecoveryBoundNS:  int64(r.Bound),
 		Events:           r.Schedule,
 	}
@@ -86,15 +90,16 @@ func (a Artifact) Config() Config {
 		sched = failures.Schedule{}
 	}
 	return Config{
-		Campaign:       a.Campaign,
-		Seed:           a.Seed,
-		N:              a.N,
-		Delta:          time.Duration(a.DeltaNS),
-		Wire:           a.Wire,
-		StorageLatency: time.Duration(a.StorageLatencyNS),
-		Window:         time.Duration(a.WindowNS),
-		RecoveryBound:  time.Duration(a.RecoveryBoundNS),
-		Schedule:       sched,
+		Campaign:        a.Campaign,
+		Seed:            a.Seed,
+		N:               a.N,
+		Delta:           time.Duration(a.DeltaNS),
+		Wire:            a.Wire,
+		StorageLatency:  time.Duration(a.StorageLatencyNS),
+		CheckpointBytes: a.CheckpointBytes,
+		Window:          time.Duration(a.WindowNS),
+		RecoveryBound:   time.Duration(a.RecoveryBoundNS),
+		Schedule:        sched,
 	}
 }
 

@@ -167,3 +167,26 @@ func TestFailingArtifactCarriesDiagnostics(t *testing.T) {
 		t.Fatal("metric snapshot corrupted in round trip")
 	}
 }
+
+// A run with compaction armed replays with compaction armed: the artifact
+// records the checkpoint threshold, and omits it when compaction is off
+// (so artifacts pinned before the field existed decode unchanged).
+func TestArtifactKeepsCheckpointBytes(t *testing.T) {
+	for _, ckpt := range []int{0, 1024} {
+		r := Run(Config{Campaign: Amnesia, Seed: 3, N: 4, Window: 1200 * time.Millisecond, CheckpointBytes: ckpt})
+		data, err := NewArtifact(r).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(data), "checkpoint_bytes"); got != (ckpt > 0) {
+			t.Errorf("ckpt=%d: artifact mentions checkpoint_bytes: %v", ckpt, got)
+		}
+		back, err := DecodeArtifact(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg := back.Config(); cfg.CheckpointBytes != ckpt {
+			t.Errorf("ckpt=%d: replay config arms %d", ckpt, cfg.CheckpointBytes)
+		}
+	}
+}

@@ -140,7 +140,7 @@ func E15(seed int64) *Table {
 
 	t.Notes = append(t.Notes,
 		"replay cost is records/bytes read at the final crash's recovery; total appended is the log's logical end offset (compaction never renumbers)",
-		"establish records re-record the full order, so the uncompacted log grows superlinearly in delivered history; the checkpoint records the same state once and the prefix before the previous checkpoint is discarded",
+		"establish records still re-record the full order, so the uncompacted log grows superlinearly in delivered history; a checkpoint records the same state once, the prefix before the previous checkpoint is discarded, and the next checkpoint waits for max(threshold, that checkpoint's size) of new log counted from its end, so checkpoints no longer re-trigger themselves",
 		"compare E14: same crash, complementary axis — E14 pins rejoin latency (replay is a local read), E15 pins the size of that read")
 	return t
 }

@@ -35,10 +35,12 @@ type EngineOptions struct {
 	// Close.
 	MetricsPath string
 	// CheckpointBytes arms WAL snapshot/compaction: every so many bytes
-	// of log growth the node appends a checkpoint record and the WAL
-	// file's prefix before the previous checkpoint is discarded, so a
-	// daemon killed hours into a soak replays the last checkpoint plus a
-	// bounded suffix instead of its whole history. 0 disables.
+	// of log growth (and at least the last checkpoint's own size, so a
+	// large state is not rewritten on every drain) the node appends a
+	// checkpoint record and the WAL file's prefix before the previous
+	// checkpoint is discarded, so a daemon killed hours into a soak
+	// replays the last checkpoint plus a bounded suffix instead of its
+	// whole history. 0 disables.
 	CheckpointBytes int
 	// MaxPending bounds the node's accepted-but-undelivered submission
 	// backlog; a submission past the bound is answered "BUSY <value>" on

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,9 @@ import (
 
 	"repro/internal/recovery"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/storage"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -196,5 +199,80 @@ func TestWALMirrorCompactionSurvivesReboot(t *testing.T) {
 	// valid checkpoint (the older of the two).
 	if snap.PrevCheckpointAt != 0 {
 		t.Errorf("retained log's first checkpoint at %d, want the head (0)", snap.PrevCheckpointAt)
+	}
+}
+
+// nullTransport drops every packet: the reboot test below inspects only
+// what a booting node derives from its WAL file.
+type nullTransport struct{}
+
+func (nullTransport) Register(types.ProcID, func(transport.Packet)) {}
+func (nullTransport) Send(types.ProcID, types.ProcID, any)          {}
+func (nullTransport) Broadcast(types.ProcID, types.ProcSet, any)    {}
+func (nullTransport) Delta() time.Duration                          { return time.Millisecond }
+
+// A daemon restarted over its compacted WAL file resumes the checkpoint
+// trigger exactly where the node that wrote the file left it: the file's
+// replayed checkpoint frame, rebased by what compaction removed, is the
+// writing node's last checkpoint, and the booted node counts the same
+// growth since its end (plus its own recovery marker) — so a restart
+// neither checkpoints at once nor forgets the growth since the last one.
+func TestRebootResumesCheckpointCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	_, m, err := openWALMirror(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const every = 1024
+	c := stack.NewCluster(stack.Options{Seed: 2, N: 3, Delta: time.Millisecond, CheckpointBytes: every})
+	n := c.Node(0)
+	st := n.WAL().Storage()
+	st.Mirror = m
+	for i := 1; i <= 300; i++ {
+		p, v := types.ProcID(i%3), types.Value(fmt.Sprintf("value-%05d-padded-to-32-bytes", i))
+		c.Sim.After(time.Duration(i)*300*time.Microsecond, func() { c.Bcast(p, v) })
+	}
+	if err := c.Sim.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	start, end := n.WAL().LastCheckpoint()
+	since := n.WAL().SinceCheckpoint()
+	if st.Base() == 0 || n.Checkpoints() < 3 || end-start <= every {
+		t.Fatalf("no compaction past a large checkpoint: base %d, %d checkpoints, last [%d, %d)",
+			st.Base(), n.Checkpoints(), start, end)
+	}
+	if n.WAL().EndOffset() != st.Base()+st.Size() || since <= 0 {
+		t.Fatalf("writer not quiescent: end %d, durable end %d, %d bytes since its checkpoint",
+			n.WAL().EndOffset(), st.Base()+st.Size(), since)
+	}
+
+	data, m2, err := openWALMirror(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if !bytes.Equal(data, st.Contents()) {
+		t.Fatalf("file holds %d bytes, the device %d: mirror diverged", len(data), st.Size())
+	}
+	snap := recovery.Replay(data)
+	if snap.Truncated != "" || st.Base()+snap.CheckpointAt != start || st.Base()+snap.CheckpointEnd != end {
+		t.Fatalf("file replays the last checkpoint at [%d, %d) (+%d), the writer's is [%d, %d) (truncated %q)",
+			snap.CheckpointAt, snap.CheckpointEnd, st.Base(), start, end, snap.Truncated)
+	}
+	booted := stack.NewLiveNode(stack.LiveOptions{
+		Self: 0, Universe: c.Procs, P0: c.Procs, Delta: time.Millisecond,
+		Sim: sim.New(9), Transport: nullTransport{},
+		WALData: data, WALMirror: m2, CheckpointBytes: every,
+	})
+	if bs, be := booted.WAL().LastCheckpoint(); bs != snap.CheckpointAt || be != snap.CheckpointEnd {
+		t.Errorf("booted node's last checkpoint [%d, %d), the file's [%d, %d)", bs, be, snap.CheckpointAt, snap.CheckpointEnd)
+	}
+	marker := booted.WAL().EndOffset() - len(data)
+	if got := booted.WAL().SinceCheckpoint(); got != since+marker {
+		t.Errorf("booted node counts %d bytes since its last checkpoint, the writer %d plus a %dB marker",
+			got, since, marker)
 	}
 }

@@ -65,21 +65,32 @@ func (w *WAL) Checkpoint(cs CheckpointState, done func()) {
 		x.U8(0)
 	}
 	x.U32(uint32(len(cs.Order)))
+	ordered := 0 // labels of Order that Content holds
 	for _, l := range cs.Order {
-		x.Label(l)
-		x.Str(string(cs.Content[l]))
-	}
-	extras := make([]types.Label, 0, len(cs.Content)-len(cs.Order))
-	inOrder := make(map[types.Label]bool, len(cs.Order))
-	for _, l := range cs.Order {
-		inOrder[l] = true
-	}
-	for l := range cs.Content {
-		if !inOrder[l] {
-			extras = append(extras, l)
+		a, ok := cs.Content[l]
+		if ok {
+			ordered++
 		}
+		x.Label(l)
+		x.Str(string(a))
 	}
-	sort.Slice(extras, func(i, j int) bool { return extras[i].Less(extras[j]) })
+	// Extras are Content's labels outside Order. When every label of
+	// Content is in Order (the common case) there are none, and the
+	// whole-order membership set is not built.
+	var extras []types.Label
+	if ordered < len(cs.Content) {
+		extras = make([]types.Label, 0, len(cs.Content)-ordered)
+		inOrder := make(map[types.Label]bool, len(cs.Order))
+		for _, l := range cs.Order {
+			inOrder[l] = true
+		}
+		for l := range cs.Content {
+			if !inOrder[l] {
+				extras = append(extras, l)
+			}
+		}
+		sort.Slice(extras, func(i, j int) bool { return extras[i].Less(extras[j]) })
+	}
 	x.U32(uint32(len(extras)))
 	for _, l := range extras {
 		x.Label(l)
@@ -114,6 +125,8 @@ func (w *WAL) Checkpoint(cs CheckpointState, done func()) {
 	w.seal()
 	w.prevCkpt = w.lastCkpt
 	w.lastCkpt = start
+	w.ckptEnd = w.endOff
+	w.ckptBytes += w.endOff - start
 }
 
 // decodeCheckpoint folds a checkpoint payload (tag already consumed) into

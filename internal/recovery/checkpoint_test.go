@@ -302,3 +302,104 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Errorf("latest checkpoint at logical %d, want %d", got, c2)
 	}
 }
+
+// The checkpoint trigger counts from the end of the last checkpoint's
+// frame and waits for at least that checkpoint's size: a checkpoint
+// larger than the threshold neither pays toward its successor nor makes
+// one due at once. Replay reports the same frame end, and a WAL resynced
+// from it resumes the count exactly where the enqueuing WAL had it.
+func TestCheckpointTrigger(t *testing.T) {
+	s := sim.New(1)
+	w := New(storage.New(s, 0))
+	if w.SinceCheckpoint() != 0 || w.CheckpointDue(1) {
+		t.Fatal("an empty log has grown")
+	}
+	if start, end := w.LastCheckpoint(); start != -1 || end != 0 {
+		t.Fatalf("LastCheckpoint of an empty log = [%d, %d), want [-1, 0)", start, end)
+	}
+	w.View(testView, nil)
+	if !w.CheckpointDue(w.EndOffset()) || w.CheckpointDue(w.EndOffset()+1) || w.CheckpointDue(0) {
+		t.Fatal("before any checkpoint the trigger counts from the log start; 0 disables it")
+	}
+
+	cs := ckptState()
+	for i := 2; i <= 40; i++ {
+		l := types.Label{ID: testView.ID, Seqno: i, Origin: 1}
+		cs.Order = append(cs.Order, l)
+		cs.Content[l] = "value"
+	}
+	start := w.EndOffset()
+	w.Checkpoint(cs, nil)
+	end := w.EndOffset()
+	size := end - start
+	const every = 64
+	if size <= 4*every {
+		t.Fatalf("checkpoint frame is %dB; the test needs one well above %dB", size, every)
+	}
+	if gs, ge := w.LastCheckpoint(); gs != start || ge != end || w.CheckpointedBytes() != size {
+		t.Fatalf("LastCheckpoint = [%d, %d), CheckpointedBytes %d; want [%d, %d), %d",
+			gs, ge, w.CheckpointedBytes(), start, end, size)
+	}
+	if w.SinceCheckpoint() != 0 || w.CheckpointDue(every) {
+		t.Fatalf("a checkpoint counts toward its own successor: %d bytes since", w.SinceCheckpoint())
+	}
+	for w.SinceCheckpoint() < size/2 {
+		w.Bcast(1, "grow", nil)
+	}
+	if w.SinceCheckpoint() < every || w.CheckpointDue(every) {
+		t.Fatalf("due after %d bytes, below the last checkpoint's %dB", w.SinceCheckpoint(), size)
+	}
+	if err := s.Run(s.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := Replay(w.Storage().Contents())
+	if snap.Truncated != "" || snap.CheckpointAt != start || snap.CheckpointEnd != end {
+		t.Fatalf("replay: checkpoint [%d, %d) (truncated %q), want [%d, %d)",
+			snap.CheckpointAt, snap.CheckpointEnd, snap.Truncated, start, end)
+	}
+	since := w.SinceCheckpoint()
+	r := New(storage.New(sim.New(2), 0))
+	r.Resync(snap.TruncatedAt, snap.CheckpointAt, snap.PrevCheckpointAt, snap.CheckpointEnd)
+	if r.SinceCheckpoint() != since || r.CheckpointDue(every) {
+		t.Fatalf("resynced WAL counts %d bytes since its checkpoint, the original %d", r.SinceCheckpoint(), since)
+	}
+	for r.SinceCheckpoint() < size {
+		if r.CheckpointDue(every) {
+			t.Fatalf("resynced WAL due after %d bytes, below %dB", r.SinceCheckpoint(), size)
+		}
+		r.Bcast(1, "grow", nil)
+	}
+	if !r.CheckpointDue(every) {
+		t.Fatalf("resynced WAL not due after %d bytes", r.SinceCheckpoint())
+	}
+	if empty := Replay(nil); empty.CheckpointEnd != 0 || empty.CheckpointAt != -1 {
+		t.Fatalf("empty replay: checkpoint [%d, %d), want [-1, 0)", empty.CheckpointAt, empty.CheckpointEnd)
+	}
+}
+
+// Content beyond the order (labeled values not yet ordered) round-trips
+// through a checkpoint, as does content that exactly covers the order.
+func TestCheckpointContentBeyondOrder(t *testing.T) {
+	for _, extra := range []bool{false, true} {
+		s := sim.New(1)
+		w := New(storage.New(s, 0))
+		cs := ckptState()
+		if extra {
+			cs.Content = map[types.Label]types.Value{labelA: "a", labelB: "b"}
+		}
+		w.Checkpoint(cs, nil)
+		if err := s.Run(s.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		snap := Replay(w.Storage().Contents())
+		if snap.Truncated != "" || len(snap.Order) != 1 || len(snap.Content) != len(cs.Content) {
+			t.Fatalf("extra=%v: replay order %v content %v (truncated %q)", extra, snap.Order, snap.Content, snap.Truncated)
+		}
+		for l, a := range cs.Content {
+			if snap.Content[l] != a {
+				t.Errorf("extra=%v: content[%v] = %q, want %q", extra, l, snap.Content[l], a)
+			}
+		}
+	}
+}

@@ -58,9 +58,13 @@ type Snapshot struct {
 	// of the latest and second-latest, -1 when absent. Replay resumes
 	// accumulating from the latest checkpoint's state, which is what makes
 	// compaction (discarding everything before PrevCheckpointAt) safe.
+	// CheckpointEnd is the offset just past the latest checkpoint's frame
+	// (0 when absent): the point from which the restarted WAL's checkpoint
+	// trigger resumes counting log growth (WAL.Resync).
 	Checkpoints      int
 	CheckpointAt     int
 	PrevCheckpointAt int
+	CheckpointEnd    int
 	// Records counts the records replayed.
 	Records int
 	// Truncated is empty for a clean log; otherwise it describes the first
@@ -124,9 +128,7 @@ func Replay(disk []byte) *Snapshot {
 				break
 			}
 			if payload[0] == recCheckpoint {
-				s.PrevCheckpointAt = s.CheckpointAt
-				s.CheckpointAt = off
-				s.Checkpoints++
+				s.markCheckpoint(off, off+frameHeader+length)
 			}
 			s.Records++
 		}
@@ -172,14 +174,21 @@ func (s *Snapshot) applyBatch(payload []byte, pending map[int]types.Value, off i
 			return reason
 		}
 		if sub[0] == recCheckpoint {
-			s.PrevCheckpointAt = s.CheckpointAt
-			s.CheckpointAt = off
-			s.Checkpoints++
+			s.markCheckpoint(off, off+frameHeader+len(payload))
 		}
 		s.Records++
 		body = body[4+ln:]
 	}
 	return ""
+}
+
+// markCheckpoint notes a valid checkpoint replayed from the frame
+// spanning [start, end).
+func (s *Snapshot) markCheckpoint(start, end int) {
+	s.PrevCheckpointAt = s.CheckpointAt
+	s.CheckpointAt = start
+	s.CheckpointEnd = end
+	s.Checkpoints++
 }
 
 // applyRecord folds one record payload into the snapshot; it returns a

@@ -101,7 +101,8 @@ type WAL struct {
 	// byte the log ever held; compaction never renumbers). endOff is the
 	// offset the next record will be framed at; lastCkpt/prevCkpt are the
 	// start offsets of the two most recent checkpoint records (-1 when
-	// absent); sinceCkpt counts bytes framed since the last checkpoint.
+	// absent); ckptEnd is the end offset of the last checkpoint's frame
+	// (0 when absent), from which the checkpoint trigger counts growth.
 	// Offsets track *enqueued* records and run ahead of durability; a
 	// crash discards the queue, and Resync re-derives them from the
 	// replayed image.
@@ -109,6 +110,9 @@ type WAL struct {
 	endOff   int
 	lastCkpt int
 	prevCkpt int
+	ckptEnd  int
+	// ckptBytes sums the frames of every checkpoint this WAL appended.
+	ckptBytes int
 
 	// Group-commit state. Records appended while a batch write is
 	// outstanding coalesce into the open batch; the batch is sealed into
@@ -170,24 +174,54 @@ func (w *WAL) SetCommitWindow(window time.Duration) {
 // framed (enqueued records included).
 func (w *WAL) EndOffset() int { return w.endOff }
 
-// SinceCheckpoint returns the bytes framed since the last checkpoint was
-// enqueued (since log start when none) — the checkpoint trigger's input.
-func (w *WAL) SinceCheckpoint() int {
-	if w.lastCkpt < 0 {
-		return w.endOff
+// SinceCheckpoint returns the bytes framed since the end of the last
+// checkpoint record (since log start when none). The checkpoint's own
+// bytes do not count: a checkpoint never pays toward its successor.
+func (w *WAL) SinceCheckpoint() int { return w.endOff - w.ckptEnd }
+
+// LastCheckpoint returns the logical offsets [start, end) of the last
+// checkpoint record's frame, enqueued or replayed. With none, start is -1
+// and end is the offset the trigger counts from (the log start).
+func (w *WAL) LastCheckpoint() (start, end int) { return w.lastCkpt, w.ckptEnd }
+
+// CheckpointedBytes returns the bytes of all checkpoint frames this WAL
+// has appended (a crash does not reset it).
+func (w *WAL) CheckpointedBytes() int { return w.ckptBytes }
+
+// CheckpointDue reports whether the log has grown enough since the last
+// checkpoint for the next one: at least every bytes (≤ 0 never), and at
+// least the size of that checkpoint's frame. The second bound keeps the
+// bytes spent on checkpoints no larger than the bytes of the records they
+// summarize plus one checkpoint, so a full-state checkpoint costs O(1)
+// amortized bytes and CPU per appended record however long the history
+// grows — without it, a checkpoint larger than every would trigger its
+// successor at the next quiescent instant, rewriting the whole history
+// on almost every drain.
+func (w *WAL) CheckpointDue(every int) bool {
+	if every <= 0 {
+		return false
 	}
-	return w.endOff - w.lastCkpt
+	need := every
+	if w.lastCkpt >= 0 {
+		need = max(every, w.ckptEnd-w.lastCkpt)
+	}
+	return w.SinceCheckpoint() >= need
 }
 
 // Resync re-derives the offset bookkeeping after a crash or at a boot
 // over an existing image: end is the logical end of the retained log
 // (the torn tail already discarded), lastCkpt/prevCkpt the logical start
 // offsets of the two most recent valid checkpoint records (-1 when
-// absent), as replayed.
-func (w *WAL) Resync(end, lastCkpt, prevCkpt int) {
+// absent) and ckptEnd the logical end of the latest one's frame (the
+// log start when absent), as replayed. The checkpoint trigger thus
+// resumes counting where the durable log left it: a restart neither
+// forgets the growth since the last checkpoint nor checkpoints again
+// just because it restarted.
+func (w *WAL) Resync(end, lastCkpt, prevCkpt, ckptEnd int) {
 	w.endOff = end
 	w.lastCkpt = lastCkpt
 	w.prevCkpt = prevCkpt
+	w.ckptEnd = ckptEnd
 	// A crash abandoned whatever batch was open or in flight: the device's
 	// Drop suppressed every pending completion, so the outstanding-write
 	// accounting must be reset or the new incarnation's appends would wait

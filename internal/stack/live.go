@@ -148,7 +148,7 @@ func NewLiveNode(opts LiveOptions) *Node {
 	n.restoreProc(snap)
 	// The file's offsets are the log's logical offsets (logical 0 = file
 	// start at this boot).
-	n.wal.Resync(len(opts.WALData), snap.CheckpointAt, snap.PrevCheckpointAt)
+	n.wal.Resync(len(opts.WALData), snap.CheckpointAt, snap.PrevCheckpointAt, snap.CheckpointEnd)
 	inc := snap.Incarnations + 1
 	n.waPending++
 	n.wal.Recovered(inc, func() {

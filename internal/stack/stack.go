@@ -218,8 +218,9 @@ type Options struct {
 	// runs with λ = δ/4). Experiment E14 sweeps it.
 	StorageLatency time.Duration
 	// CheckpointBytes, when positive, turns on WAL snapshot/compaction:
-	// once at least this many log bytes have accumulated since the last
-	// checkpoint, the node appends a checkpoint record capturing its full
+	// once at least this many log bytes (and at least as many as the last
+	// checkpoint itself took) have accumulated since the last checkpoint
+	// record, the node appends a checkpoint record capturing its full
 	// VStoTO-critical state at the next quiescent instant, and the log
 	// prefix before the previous checkpoint is physically discarded when
 	// the record is durable. Replay then starts from the last valid
@@ -451,8 +452,9 @@ func (n *Node) sealInitialState(p0 types.ProcSet) {
 	n.wal.Establish(nil, 1, types.G0(), nil)
 }
 
-// setCheckpointPolicy arms checkpointing (every 'bytes' of log growth;
-// 0 disables) and the compaction that rides on it.
+// setCheckpointPolicy arms checkpointing (every 'bytes' of log growth,
+// at least the last checkpoint's size; 0 disables) and the compaction
+// that rides on it.
 func (n *Node) setCheckpointPolicy(bytes int) {
 	n.ckptEvery = bytes
 	n.wal.SetCompact(bytes > 0)
@@ -751,7 +753,7 @@ func (n *Node) recover() {
 		if snap.TruncatedAt < len(disk) {
 			st.TruncateTail(base + snap.TruncatedAt)
 		}
-		n.wal.Resync(base+snap.TruncatedAt, logicalOff(base, snap.CheckpointAt), logicalOff(base, snap.PrevCheckpointAt))
+		n.wal.Resync(base+snap.TruncatedAt, logicalOff(base, snap.CheckpointAt), logicalOff(base, snap.PrevCheckpointAt), base+snap.CheckpointEnd)
 	}
 
 	n.restoreProc(snap)
@@ -902,7 +904,13 @@ func (n *Node) drain() {
 		if paused {
 			break
 		}
-		if _, ok := n.proc.LabelEnabled(); ok {
+		// A restored submission is labeled only in an established primary
+		// view (see dropLabeledRestored): a label that escaped before the
+		// crash and was delivered anywhere was safe in a primary view, so
+		// every member of that view holds it, and a primary view's state
+		// exchange meets one of them. In a minority view the escaped label
+		// may be unknown, and labeling again would deliver the value twice.
+		if _, ok := n.proc.LabelEnabled(); ok && (n.restoredPending == 0 || n.proc.Primary()) {
 			seq := n.delaySeqs[0]
 			n.delaySeqs = n.delaySeqs[1:]
 			if n.restoredPending > 0 {
@@ -979,17 +987,18 @@ func (n *Node) drain() {
 	}
 }
 
-// maybeCheckpoint appends a checkpoint record once ckptEvery bytes of log
-// have accumulated since the last one, but only at a quiescent instant:
-// no write-ahead record in flight (between its enqueue and completion the
-// log runs ahead of memory), no durable delivery awaiting release, and
-// the automaton in normal status. Write-behind records still queued are
-// fine — they precede the checkpoint through the single FIFO write head,
-// so the durable prefix ending at the checkpoint always replays to
-// exactly the captured state.
+// maybeCheckpoint appends a checkpoint record once the log has grown by
+// ckptEvery bytes, and by at least the last checkpoint's own size, since
+// the end of the last one (recovery.WAL.CheckpointDue), but only at a
+// quiescent instant: no write-ahead record in flight (between its
+// enqueue and completion the log runs ahead of memory), no durable
+// delivery awaiting release, and the automaton in normal status.
+// Write-behind records still queued are fine — they precede the
+// checkpoint through the single FIFO write head, so the durable prefix
+// ending at the checkpoint always replays to exactly the captured state.
 func (n *Node) maybeCheckpoint() {
 	if n.ckptEvery <= 0 || n.ckptPending || n.waPending > 0 || n.deliverReady > 0 ||
-		n.proc.Status != vstoto.StatusNormal || n.wal.SinceCheckpoint() < n.ckptEvery {
+		n.proc.Status != vstoto.StatusNormal || !n.wal.CheckpointDue(n.ckptEvery) {
 		return
 	}
 	cs := recovery.CheckpointState{

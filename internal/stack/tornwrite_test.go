@@ -8,6 +8,7 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/vstoto"
 )
 
 // tornWriteCluster is a three-node cluster whose storage latency (5δ) is
@@ -72,6 +73,47 @@ func TestAmnesiaAfterEscapedLabelDeliversOnce(t *testing.T) {
 	}
 	if c.Node(origin).Recoveries() != 1 {
 		t.Fatal("origin never recovered")
+	}
+	toConformance(t, c.Log)
+	for _, p := range c.Procs.Members() {
+		if got := len(c.Deliveries(p)); got != 1 {
+			t.Errorf("node %v delivered %d values, want 1: %v", p, got, c.Deliveries(p))
+		}
+	}
+}
+
+// TestEscapedLabelSurvivesIsolatedRestart: as above, but the origin
+// restarts cut off from its peers, so its first view after the crash is
+// a singleton that holds no copy of the escaped label. The restored
+// submission must wait for a primary view's state exchange instead of
+// being labeled again in the singleton view.
+func TestEscapedLabelSurvivesIsolatedRestart(t *testing.T) {
+	c := tornWriteCluster()
+	origin := types.ProcID(1)
+	if err := c.Sim.RunFor(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	c.Bcast(origin, "x")
+	stepUntil(t, c, time.Second, func() bool {
+		escaped := false
+		for l := range c.Node(0).Proc().Content {
+			escaped = escaped || l.Origin == origin
+		}
+		return escaped && len(durable(c, origin).Pending) == 1
+	})
+	c.Oracle.Isolate(types.NewProcSet(origin), c.Procs)
+	c.Oracle.SetProc(origin, failures.Amnesia)
+	c.Sim.After(time.Millisecond, func() { c.Oracle.SetProc(origin, failures.Good) })
+	stepUntil(t, c, time.Second, func() bool {
+		v := c.Node(origin).Proc().Current
+		return v.Set.Size() == 1 && c.Node(origin).Proc().Status == vstoto.StatusNormal
+	})
+	if err := c.Sim.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	c.Oracle.Heal(c.Procs)
+	if err := c.Sim.Run(sim.Time(3 * time.Second)); err != nil {
+		t.Fatal(err)
 	}
 	toConformance(t, c.Log)
 	for _, p := range c.Procs.Members() {

@@ -27,6 +27,7 @@ func (p *Proc) Clone() *Proc {
 		GotState:             make(GotState, len(p.GotState)),
 		SafeExch:             make(map[types.ProcID]bool, len(p.SafeExch)),
 		SafeLabels:           make(map[types.Label]bool, len(p.SafeLabels)),
+		fullLen:              p.fullLen,
 		TrackHistory:         p.TrackHistory,
 		LiteralFigure10Label: p.LiteralFigure10Label,
 		Established:          make(map[types.ViewID]bool, len(p.Established)),
@@ -61,7 +62,10 @@ func (p *Proc) Clone() *Proc {
 // Fingerprint returns a canonical string identifying the processor state,
 // for the bounded exhaustive explorer's visited set. History variables are
 // excluded: they are functions of the reachable state and only consumed by
-// the invariant checker.
+// the invariant checker. So is fullLen: it is len(fullorder(gotstate))
+// once the view is established as primary and 0 before, a function of
+// the fingerprinted current view, status and gotstate, so including it
+// could never split two states the rest of the fingerprint merges.
 func (p *Proc) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "p%d{cur=%v#%v seq=%d st=%v conf=%d rep=%d high=%v",

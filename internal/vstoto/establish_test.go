@@ -1,8 +1,11 @@
 package vstoto
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/ioa"
+	"repro/internal/spec/vsmachine"
 	"repro/internal/types"
 )
 
@@ -147,5 +150,126 @@ func TestNonPrimaryThenPrimaryRecovery(t *testing.T) {
 	}
 	if p.HighPrimary != vMaj.ID {
 		t.Errorf("highprimary = %v, want %v", p.HighPrimary, vMaj.ID)
+	}
+}
+
+// shortcutAuto wraps a VStoTO_p automaton to check the establishment
+// shortcut against the definitions it replaces: at every establishment
+// Content equals knowncontent(gotstate) and the order built equals
+// fullorder(gotstate) (primary) or shortorder(gotstate) (otherwise), and
+// the completing safe(x) marks exactly fullorder(gotstate)'s labels safe.
+type shortcutAuto struct {
+	*Auto
+	t      *testing.T
+	counts *shortcutCounts
+}
+
+func (a shortcutAuto) Input(act ioa.Action) {
+	p := a.P
+	switch t := act.(type) {
+	case vsmachine.Gprcv:
+		if _, ok := t.M.(*Summary); ok {
+			collecting := p.Status == StatusCollect
+			a.Auto.Input(act)
+			if !collecting || p.Status != StatusNormal {
+				return
+			}
+			a.t.Helper()
+			if known := p.GotState.KnownContent(); !reflect.DeepEqual(p.Content, known) {
+				a.t.Fatalf("%v at establishment of %v: content %v, knowncontent %v", p.id, p.Current.ID, p.Content, known)
+			}
+			want := p.GotState.ShortOrder()
+			if p.Primary() {
+				want = p.GotState.FullOrder()
+				a.counts.primary++
+				if len(want) > len(p.GotState.ShortOrder()) {
+					a.counts.extra++
+				}
+				if p.fullLen != len(want) {
+					a.t.Fatalf("%v at establishment of %v: fullLen %d, fullorder has %d labels", p.id, p.Current.ID, p.fullLen, len(want))
+				}
+			}
+			if !reflect.DeepEqual(p.Order, want) && !(len(p.Order) == 0 && len(want) == 0) {
+				a.t.Fatalf("%v at establishment of %v: order %v, want %v", p.id, p.Current.ID, p.Order, want)
+			}
+			return
+		}
+	case vsmachine.Safe:
+		if _, ok := t.M.(*Summary); ok {
+			before := make(map[types.Label]bool, len(p.SafeLabels))
+			for l := range p.SafeLabels {
+				before[l] = true
+			}
+			a.Auto.Input(act)
+			want := before
+			if p.safeExchComplete() && p.Primary() {
+				a.counts.safe++
+				for _, l := range p.GotState.FullOrder() {
+					want[l] = true
+				}
+			}
+			if !reflect.DeepEqual(p.SafeLabels, want) {
+				a.t.Fatalf("%v: safe(summary of %v) left safe labels %v, want %v", p.id, t.P, p.SafeLabels, want)
+			}
+			return
+		}
+	}
+	a.Auto.Input(act)
+}
+
+// shortcutCounts tallies what shortcutAuto saw, for non-vacuity checks.
+type shortcutCounts struct {
+	// primary counts primary establishments, extra those whose fullorder
+	// extends shortorder (the branch that sorts the remaining labels),
+	// safe the completing safe(x) inputs in primary views.
+	primary, extra, safe int
+}
+
+// TestEstablishmentShortcutBranches drives the establishment shortcut
+// through shortcutAuto on the cases the randomized runs cannot reach or
+// rarely do: content exactly covering the chosen representative's order
+// (no labels beyond it), content beyond it, and a representative rebuilt
+// after amnesia that orders a label whose value it lost — its order is
+// as long as the known content, yet a label remains to be appended.
+func TestEstablishmentShortcutBranches(t *testing.T) {
+	v := types.View{ID: gid(2, 0), Set: types.RangeProcSet(3)}
+	l := func(seq int, origin types.ProcID) types.Label {
+		return types.Label{ID: types.G0(), Seqno: seq, Origin: origin}
+	}
+	ord := []types.Label{l(1, 0), l(1, 2)}
+	cases := []struct {
+		name     string
+		repCon   map[types.Label]types.Value
+		peerCon  map[types.Label]types.Value
+		want     []types.Label
+		extended bool
+	}{
+		{"covered", map[types.Label]types.Value{ord[0]: "a", ord[1]: "b"}, nil, ord, false},
+		{"beyond", map[types.Label]types.Value{ord[0]: "a", ord[1]: "b"},
+			map[types.Label]types.Value{l(3, 1): "d", l(2, 1): "c"},
+			[]types.Label{ord[0], ord[1], l(2, 1), l(3, 1)}, true},
+		{"lost value", map[types.Label]types.Value{ord[0]: "a"},
+			map[types.Label]types.Value{l(2, 1): "c"},
+			[]types.Label{ord[0], ord[1], l(2, 1)}, true},
+	}
+	for _, tc := range cases {
+		var counts shortcutCounts
+		a := shortcutAuto{Auto: &Auto{P: newTestProc(0, 3)}, t: t, counts: &counts}
+		a.P.Newview(v)
+		own := a.P.GpsndSummary()
+		rep := &Summary{Con: tc.repCon, Ord: ord, Next: 2, High: types.G0()}
+		peer := &Summary{Con: tc.peerCon, Next: 1, High: types.Bottom}
+		for q, x := range map[types.ProcID]*Summary{0: own, 1: peer, 2: rep} {
+			a.Input(vsmachine.Gprcv{M: x, P: q, Q: 0})
+		}
+		for q, x := range map[types.ProcID]*Summary{0: own, 1: peer, 2: rep} {
+			a.Input(vsmachine.Safe{M: x, P: q, Q: 0})
+		}
+		if !reflect.DeepEqual(a.P.Order, tc.want) || len(a.P.SafeLabels) != len(tc.want) {
+			t.Errorf("%s: order %v safe %v, want order %v all safe", tc.name, a.P.Order, a.P.SafeLabels, tc.want)
+		}
+		if counts.primary != 1 || counts.safe != 1 || (counts.extra == 1) != tc.extended {
+			t.Errorf("%s: counts %+v", tc.name, counts)
+		}
 	}
 }

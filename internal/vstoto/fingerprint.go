@@ -49,9 +49,8 @@ func (x *Summary) AppendFingerprint(buf []byte) []byte {
 }
 
 // AppendFingerprint appends the processor's canonical encoding. History
-// variables are excluded, exactly as in the string fingerprint: they are
-// functions of the reachable state and only consumed by the invariant
-// checker.
+// variables and the derived fullLen are excluded, exactly as in the
+// string fingerprint: they are functions of the encoded state.
 func (p *Proc) AppendFingerprint(buf []byte) []byte {
 	buf = binary.AppendVarint(buf, int64(p.id))
 	buf = p.Current.AppendFingerprint(buf)

@@ -71,6 +71,13 @@ type Proc struct {
 	// SafeLabels is the set of labels reported safe in the current view.
 	SafeLabels map[types.Label]bool
 
+	// fullLen is the length of fullorder(gotstate) once the current view
+	// is established as primary, 0 before: Order only grows by appends
+	// after that establishment, so Order[:fullLen] is fullorder(gotstate)
+	// for the rest of the view, and SafeSummary reads it there instead of
+	// recomputing it. Derived state, not part of Figure 9.
+	fullLen int
+
 	// LiteralFigure10Label reverts label(a)_p to the paper's literal
 	// precondition (no status check). It exists to *study* the resulting
 	// defect: with it set, a value labeled during recovery is ordered
@@ -166,6 +173,7 @@ func (p *Proc) Newview(v types.View) {
 	p.GotState = make(GotState)
 	p.SafeExch = make(map[types.ProcID]bool)
 	p.SafeLabels = make(map[types.Label]bool)
+	p.fullLen = 0
 	p.Status = StatusSend
 }
 
@@ -189,8 +197,8 @@ func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
 	if p.GotState.domainEquals(p.Current.Set) && p.Status == StatusCollect {
 		p.NextConfirm = p.GotState.MaxNextConfirm()
 		if p.Primary() {
-			// FullOrder already returns a fresh slice; no defensive copy.
-			p.Order = p.GotState.FullOrder()
+			p.Order = p.fullOrder()
+			p.fullLen = len(p.Order)
 			p.HighPrimary = p.Current.ID
 		} else {
 			// ShortOrder aliases the chosen representative's summary; cap the
@@ -210,6 +218,50 @@ func (p *Proc) GprcvSummary(q types.ProcID, x *Summary) {
 	}
 }
 
+// fullOrder computes fullorder(gotstate) as a fresh slice at
+// establishment, from Content rather than from knowncontent(gotstate):
+// at that instant the two are equal. Every summary's con was merged into
+// Content on receipt; this processor's own summary carried all of its
+// Content; and nothing else adds a label between that send and the last
+// summary's arrival — label(a)_p requires status normal, and VS orders
+// every summary of the view before any ordinary message of it, since a
+// member sends values only once it has received every summary. The
+// labels beyond shortorder are then Content's labels outside it: none
+// when every label of Content is in shortorder, the common case, which
+// needs no set of shortorder's labels.
+func (p *Proc) fullOrder() []types.Label {
+	if p.LiteralFigure10Label {
+		// A value labeled in collect status is in Content but in no
+		// summary, so the identity does not hold.
+		return p.GotState.FullOrder()
+	}
+	short := p.GotState.ShortOrder()
+	// A processor rebuilt after amnesia may order labels whose values it
+	// lost, so shortorder need not lie inside Content: count, don't assume.
+	inContent := 0
+	for _, l := range short {
+		if _, ok := p.Content[l]; ok {
+			inContent++
+		}
+	}
+	out := make([]types.Label, len(short), len(short)+len(p.Content)-inContent)
+	copy(out, short)
+	if inContent == len(p.Content) {
+		return out
+	}
+	inShort := make(map[types.Label]bool, len(short))
+	for _, l := range short {
+		inShort[l] = true
+	}
+	for l := range p.Content {
+		if !inShort[l] {
+			out = append(out, l)
+		}
+	}
+	types.SortLabels(out[len(short):])
+	return out
+}
+
 // SafeValue applies the input safe(⟨l,a⟩)_{q,p}.
 func (p *Proc) SafeValue(lv LabeledValue) {
 	if p.Primary() {
@@ -221,7 +273,9 @@ func (p *Proc) SafeValue(lv LabeledValue) {
 func (p *Proc) SafeSummary(q types.ProcID) {
 	p.SafeExch[q] = true
 	if p.safeExchComplete() && p.Primary() {
-		for _, l := range p.GotState.FullOrder() {
+		// Every summary is safe only after it arrived here, so the view
+		// is established and Order[:fullLen] is fullorder(gotstate).
+		for _, l := range p.Order[:p.fullLen] {
 			p.SafeLabels[l] = true
 		}
 	}

@@ -16,6 +16,14 @@ import (
 // exactly as in the definition of VStoTO-system.
 func buildSystem(t *testing.T, seed int64, n int, p0Size int, churn float64) (*ioa.Executor, *System, *SimulationChecker) {
 	t.Helper()
+	return buildWrappedSystem(t, seed, n, p0Size, churn, nil)
+}
+
+// buildWrappedSystem is buildSystem with each VStoTO_p automaton passed
+// through wrap (nil: used as is) before composition.
+func buildWrappedSystem(t *testing.T, seed int64, n int, p0Size int, churn float64,
+	wrap func(*Auto) ioa.Automaton) (*ioa.Executor, *System, *SimulationChecker) {
+	t.Helper()
 	procs := types.RangeProcSet(n)
 	p0 := types.NewProcSet(procs.Members()[:p0Size]...)
 	qs := types.Majorities{Universe: procs}
@@ -26,7 +34,11 @@ func buildSystem(t *testing.T, seed int64, n int, p0Size int, churn float64) (*i
 	for _, p := range procs.Members() {
 		a := NewAuto(p, qs, p0)
 		procMap[p] = a.P
-		components = append(components, a)
+		if wrap != nil {
+			components = append(components, wrap(a))
+		} else {
+			components = append(components, a)
+		}
 	}
 	exec := ioa.NewExecutor(seed, components...)
 	vsAuto.Proposer = vsmachine.RandomViewProposer(vsAuto, exec.Rand(), churn)
@@ -74,32 +86,43 @@ func buildSystem(t *testing.T, seed int64, n int, p0Size int, churn float64) (*i
 	return exec, sys, sim
 }
 
+// randomizedCases are the randomized checker's seeds and shapes.
+var randomizedCases = []struct {
+	seed  int64
+	n     int
+	p0    int
+	churn float64
+	steps int
+}{
+	{seed: 1, n: 3, p0: 3, churn: 0.02, steps: 2000},
+	{seed: 2, n: 4, p0: 3, churn: 0.05, steps: 2000},
+	{seed: 3, n: 5, p0: 5, churn: 0.10, steps: 1500},
+	{seed: 4, n: 4, p0: 1, churn: 0.08, steps: 1500},
+	{seed: 5, n: 2, p0: 2, churn: 0.15, steps: 1500},
+}
+
 // TestRandomizedSystemSafety runs randomized executions of VStoTO-system
 // with continual view churn, checking the Section 6 invariants and the
 // forward simulation to TO-machine after every single step. This is the
-// executable counterpart of Theorem 6.26.
+// executable counterpart of Theorem 6.26. Every processor also runs
+// wrapped in shortcutAuto, which checks each establishment and each
+// completing safe(x) against fullorder/knowncontent as Figure 10 defines
+// them.
 func TestRandomizedSystemSafety(t *testing.T) {
-	cases := []struct {
-		seed  int64
-		n     int
-		p0    int
-		churn float64
-		steps int
-	}{
-		{seed: 1, n: 3, p0: 3, churn: 0.02, steps: 2000},
-		{seed: 2, n: 4, p0: 3, churn: 0.05, steps: 2000},
-		{seed: 3, n: 5, p0: 5, churn: 0.10, steps: 1500},
-		{seed: 4, n: 4, p0: 1, churn: 0.08, steps: 1500},
-		{seed: 5, n: 2, p0: 2, churn: 0.15, steps: 1500},
-	}
-	for _, tc := range cases {
+	var counts shortcutCounts
+	for _, tc := range randomizedCases {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d_n%d", tc.seed, tc.n), func(t *testing.T) {
-			exec, _, _ := buildSystem(t, tc.seed, tc.n, tc.p0, tc.churn)
+			exec, _, _ := buildWrappedSystem(t, tc.seed, tc.n, tc.p0, tc.churn, func(a *Auto) ioa.Automaton {
+				return shortcutAuto{Auto: a, t: t, counts: &counts}
+			})
 			if err := exec.Run(tc.steps); err != nil {
 				t.Fatalf("run failed: %v\ntrace tail:\n%v", err, ioa.FormatTrace(tail(exec.Trace(), 40)))
 			}
 		})
+	}
+	if counts.extra == 0 || counts.safe == 0 {
+		t.Fatalf("establishment checks vacuous: %+v", counts)
 	}
 }
 
